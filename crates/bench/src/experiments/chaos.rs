@@ -7,7 +7,7 @@
 //! rates (0%, 1%, 5%, 20%: dropped connections, spurious `Busy`, stale
 //! replies, truncations, bit flips, injected latency) through a
 //! three-peer quorum client stack — [`FaultyTransport`] over
-//! [`TcpTransport`], driven by [`query_quorum_spec`]'s per-peer
+//! [`TcpTransport`], driven by [`query_quorum`]'s per-peer
 //! retries — plus one permanently dead peer, and demonstrates three
 //! claims:
 //!
@@ -29,7 +29,7 @@ use lvq_chain::Address;
 use lvq_core::{LightClient, Scheme};
 use lvq_crypto::Hash256;
 use lvq_node::{
-    query_quorum_spec, FaultPlan, FaultStats, FaultyTransport, FullNode, NodeServer, PeerOutcome,
+    query_quorum, FaultPlan, FaultStats, FaultyTransport, FullNode, NodeServer, PeerOutcome,
     QuerySpec, RetryPolicy, ServerConfig, TcpTransport, Transport,
 };
 
@@ -231,7 +231,7 @@ fn run_rate(
             let mut peers: Vec<&mut dyn Transport> =
                 live.iter_mut().map(|t| t as &mut dyn Transport).collect();
             peers.push(&mut dead as &mut dyn Transport);
-            query_quorum_spec(
+            query_quorum(
                 client,
                 peers.as_mut_slice(),
                 &spec,

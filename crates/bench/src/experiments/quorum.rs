@@ -6,7 +6,7 @@
 //! [`NodeServer`]s over loopback TCP — two honest, one running a
 //! [`CensoringNode`] that drops a transaction from every
 //! multi-transaction Merkle-branch fragment — and demonstrates both
-//! halves of the claim with [`query_quorum_batch`]:
+//! halves of the claim with [`query_quorum`] over one batched spec:
 //!
 //! 1. **Alone, censorship is invisible** — the censor's batch response
 //!    verifies as correct even though transactions are missing;
@@ -24,8 +24,8 @@ use lvq_chain::Address;
 use lvq_codec::{decode_exact, Encodable};
 use lvq_core::{BatchQueryResponse, BlockFragment, LightClient, QueryResponse, Scheme};
 use lvq_node::{
-    query_quorum_batch, FullNode, Handled, Message, NodeServer, RequestKind, ServeNode,
-    ServerConfig, TcpTransport, Traffic,
+    query_quorum, FullNode, Handled, Message, NodeServer, QuerySpec, RequestKind, RetryPolicy,
+    ServeNode, ServerConfig, TcpTransport, Traffic,
 };
 
 use crate::report::{bytes, Table};
@@ -108,9 +108,8 @@ pub struct Quorum {
     pub truth_total: u64,
     /// Peers flagged as withholding by the quorum.
     pub withholding_peers: Vec<usize>,
-    /// Peers whose response failed verification outright.
-    pub rejected_peers: Vec<usize>,
-    /// Total traffic of the three-peer quorum round.
+    /// Total traffic of the three-peer quorum round, tip-census probes
+    /// included.
     pub traffic: Traffic,
 }
 
@@ -157,7 +156,10 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
 
     // Phase 1 — the censor alone: verifies cleanly, yet transactions
     // are missing and nothing flags the peer.
-    let alone = query_quorum_batch(&client, &mut [&mut tc], &addresses).expect("alone verifies");
+    let spec = QuerySpec::addresses(addresses.clone());
+    let policy = RetryPolicy::none();
+    let alone =
+        query_quorum(&client, &mut [&mut tc], &spec, &policy, seed).expect("alone verifies");
     let alone_total: u64 = alone
         .histories
         .iter()
@@ -168,13 +170,19 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         "the censor must actually withhold something ({alone_total} of {truth_total})"
     );
     assert!(
-        alone.withholding_peers.is_empty() && alone.rejected_peers.is_empty(),
+        alone.withholding_peers.is_empty() && !alone.is_degraded(),
         "withholding must be undetectable without a second peer"
     );
 
     // Phase 2 — quorum of three, censor in the middle.
-    let outcome = query_quorum_batch(&client, &mut [&mut ta, &mut tc, &mut tb], &addresses)
-        .expect("quorum with honest peers verifies");
+    let outcome = query_quorum(
+        &client,
+        &mut [&mut ta, &mut tc, &mut tb],
+        &spec,
+        &policy,
+        seed,
+    )
+    .expect("quorum with honest peers verifies");
     for ((history, expected), address) in outcome.histories.iter().zip(&truth).zip(&addresses) {
         assert_eq!(
             history.transactions.len(),
@@ -187,7 +195,7 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         vec![CENSOR],
         "exactly the censor is flagged, with zero false accusations"
     );
-    assert!(outcome.rejected_peers.is_empty());
+    assert!(!outcome.is_degraded(), "every peer served");
 
     drop((ta, tb, tc));
     for stats in [
@@ -204,7 +212,6 @@ pub fn run(scale: Scale, seed: u64) -> Quorum {
         alone_missing: truth_total - alone_total,
         truth_total,
         withholding_peers: outcome.withholding_peers,
-        rejected_peers: outcome.rejected_peers,
         traffic: outcome.traffic,
     }
 }
@@ -259,7 +266,6 @@ mod tests {
         assert_eq!(result.peers, PEERS);
         assert!(result.alone_missing > 0);
         assert_eq!(result.withholding_peers, vec![CENSOR]);
-        assert!(result.rejected_peers.is_empty());
         assert!(result.traffic.response_bytes > 0);
     }
 }

@@ -35,9 +35,9 @@ use lvq_chain::Address;
 use lvq_core::Scheme;
 use lvq_crypto::Hash256;
 use lvq_node::{
-    converge_on_majority, query_quorum_spec, FullNode, IngestConfig, IngestStats, LightNode,
-    LiveNode, LocalTransport, MemoryFeed, NodeError, NodeServer, QuerySpec, ResyncOutcome,
-    RetryPolicy, ServerConfig, TcpTransport, TipIngester, Transport,
+    converge_on_majority, query_quorum, FullNode, IngestConfig, IngestStats, LightNode, LiveNode,
+    LocalTransport, MemoryFeed, NodeError, NodeServer, QuerySpec, ResyncOutcome, RetryPolicy,
+    ServerConfig, TcpTransport, TipIngester, Transport,
 };
 use lvq_store::StoreConfig;
 use lvq_workload::{BranchSpec, ForkBranch};
@@ -479,7 +479,7 @@ pub fn run(scale: Scale, seed: u64) -> Reorg {
     let report = {
         let mut peers: Vec<&mut dyn Transport> =
             vec![&mut loser_peer, &mut live_peer_a, &mut live_peer_b];
-        query_quorum_spec(
+        query_quorum(
             quorum_light.client(),
             &mut peers,
             &below_fork,

@@ -54,7 +54,6 @@ impl CheckOutcome {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BloomFilter {
     params: BloomParams,
     bits: Vec<u8>,

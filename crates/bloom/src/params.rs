@@ -23,7 +23,6 @@ use crate::error::BloomError;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BloomParams {
     size_bytes: u32,
     hashes: u32,

@@ -19,7 +19,6 @@ pub const BASE_HEADER_LEN: usize = 80;
 /// (The BMT root of a block that merges only itself is exactly `H(BF)`,
 /// so BMT schemes do not need a separate `bf_hash`.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HeaderCommitments {
     /// `H(BF)` of this block's address Bloom filter (strawman schemes).
     pub bf_hash: Option<Hash256>,
@@ -78,7 +77,6 @@ impl Decodable for HeaderCommitments {
 /// assert_eq!(header.encoded_len(), BASE_HEADER_LEN + 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockHeader {
     /// Block format version.
     pub version: u32,

@@ -186,8 +186,8 @@ pub struct QueryOptions {
     /// instead of hanging for the OS connect default. Remote queries
     /// only.
     pub connect_timeout_ms: Option<u64>,
-    /// Negotiate protocol v2 and propose this in-flight window; a v1
-    /// server downgrades the connection to the blocking protocol.
+    /// Negotiate protocol v2 and propose this in-flight window; a
+    /// server that refuses v2 fails the query with its typed refusal.
     /// Remote queries only.
     pub pipeline: Option<u32>,
 }
@@ -344,13 +344,6 @@ impl QueryOptions {
                 (QuerySource::File(file.clone()), address.clone())
             }
         };
-        if pipeline.is_some() && chaos_seed.is_some() {
-            return Err(CliError::Usage(
-                "--pipeline and --chaos-seed are mutually exclusive (the fault \
-                 injector wraps the blocking transport stack)"
-                    .into(),
-            ));
-        }
         Ok(QueryOptions {
             source,
             address,
@@ -877,8 +870,8 @@ mod tests {
                 .is_err()
         );
         assert!(QueryOptions::parse(&strings(&["c.lvq", "1Addr", "--pipeline", "4"])).is_err());
-        // Chaos wraps the blocking stack; pipelining bypasses it.
-        assert!(QueryOptions::parse(&strings(&[
+        // The fault injector wraps either base connection.
+        let q = QueryOptions::parse(&strings(&[
             "1Addr",
             "--addr",
             "h:1",
@@ -887,9 +880,10 @@ mod tests {
             "--pipeline",
             "4",
             "--chaos-seed",
-            "1"
+            "1",
         ]))
-        .is_err());
+        .unwrap();
+        assert_eq!((q.pipeline, q.chaos_seed), (Some(4), Some(1)));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use lvq_chain::{
 use lvq_core::{Completeness, LightClient, Prover, SchemeConfig, VerifiedHistory};
 use lvq_node::{
     FaultPlan, FaultyTransport, FullNode, IngestConfig, LightNode, LiveNode, MemoryFeed,
-    Negotiated, NodeServer, PipelinedTcpTransport, QueryRun, QuerySpec, ReconnectingTcpTransport,
-    Retrier, RetryPolicy, ServerConfig, SupervisorConfig, TcpOptions, TipIngester, Transport,
+    NodeServer, PipelinedTcpTransport, QueryRun, QuerySpec, ReconnectingTcpTransport, Retrier,
+    RetryPolicy, ServerConfig, SupervisorConfig, TcpOptions, TipIngester, Transport,
 };
 use lvq_store::StoreConfig;
 use lvq_workload::{TrafficModel, WorkloadBuilder};
@@ -207,6 +207,13 @@ fn query_local(path: &str, opts: &QueryOptions, out: &mut impl Write) -> Result<
 /// machinery visibly works) without threatening the retry budget.
 const CHAOS_RATE: f64 = 0.05;
 
+/// What one remote session established.
+struct RemoteSession {
+    light: LightNode,
+    run: QueryRun,
+    new_headers: u64,
+}
+
 /// The resilient remote session: header sync, the query, and the final
 /// tip check, each retried under `retrier`'s policy. `Busy` sheds,
 /// disconnects, and timeouts are ridden out with backoff; verification
@@ -216,13 +223,38 @@ fn run_remote_session<T: Transport>(
     config: SchemeConfig,
     spec: &QuerySpec,
     retrier: &mut Retrier,
-) -> Result<(LightNode, QueryRun, u64), CliError> {
+) -> Result<RemoteSession, CliError> {
     let mut light = retrier.run(|_| LightNode::sync_from(transport, config))?;
     let run = light.run_with_retry(spec, transport, retrier)?;
     // Incremental tip check: fetch (cheaply) any headers the chain grew
     // while we were querying, so the session ends at the peer's tip.
     let new_headers = retrier.run(|_| light.sync_new(transport))?.new_headers();
-    Ok((light, run, new_headers))
+    Ok(RemoteSession {
+        light,
+        run,
+        new_headers,
+    })
+}
+
+/// Runs the remote session over `base` — under `--chaos-seed`, with
+/// `base` mistreated by a seeded fault injector so the healing is
+/// observable. Returns the session, the faults injected (under chaos),
+/// and `base` back for its own counters.
+fn run_session_over<T: Transport>(
+    mut base: T,
+    chaos_seed: Option<u64>,
+    config: SchemeConfig,
+    spec: &QuerySpec,
+    retrier: &mut Retrier,
+) -> Result<(RemoteSession, Option<u64>, T), CliError> {
+    let Some(seed) = chaos_seed else {
+        let session = run_remote_session(&mut base, config, spec, retrier)?;
+        return Ok((session, None, base));
+    };
+    let mut chaotic = FaultyTransport::new(base, FaultPlan::composite(CHAOS_RATE), seed);
+    let session = run_remote_session(&mut chaotic, config, spec, retrier)?;
+    let injected = chaotic.stats().injected();
+    Ok((session, Some(injected), chaotic.into_inner()))
 }
 
 fn query_remote(
@@ -245,61 +277,30 @@ fn query_remote(
     let tcp_options =
         TcpOptions::new().with_connect_timeout(opts.connect_timeout_ms.map(Duration::from_millis));
 
-    // The transport stack, bottom up: a self-healing TCP connection,
-    // optionally (under --chaos-seed) mistreated by a seeded fault
-    // injector so the healing is observable — or, under --pipeline, a
-    // negotiated protocol-v2 connection (downgrading to blocking v1 if
-    // the server predates the Hello handshake).
-    let (light, run, new_headers, reconnects, faults, protocol) =
-        match (opts.pipeline, opts.chaos_seed) {
-            (Some(window), _) => {
-                match PipelinedTcpTransport::negotiate(remote.addr.as_str(), tcp_options, window)? {
-                    Negotiated::V2(mut transport) => {
-                        let granted = transport.granted();
-                        let (light, run, new_headers) =
-                            run_remote_session(&mut transport, config, &spec, &mut retrier)?;
-                        let label = format!("v2 (window {granted})");
-                        (light, run, new_headers, 0, None, Some(label))
-                    }
-                    Negotiated::V1(mut transport) => {
-                        let (light, run, new_headers) =
-                            run_remote_session(&mut transport, config, &spec, &mut retrier)?;
-                        (
-                            light,
-                            run,
-                            new_headers,
-                            0,
-                            None,
-                            Some("v1 (downgraded)".into()),
-                        )
-                    }
-                }
-            }
-            (None, Some(seed)) => {
-                let reconnecting =
-                    ReconnectingTcpTransport::connect_with(remote.addr.as_str(), tcp_options)?;
-                let mut chaotic =
-                    FaultyTransport::new(reconnecting, FaultPlan::composite(CHAOS_RATE), seed);
-                let (light, run, new_headers) =
-                    run_remote_session(&mut chaotic, config, &spec, &mut retrier)?;
-                let injected = chaotic.stats().injected();
-                (
-                    light,
-                    run,
-                    new_headers,
-                    chaotic.inner().reconnects(),
-                    Some(injected),
-                    None,
-                )
-            }
-            (None, None) => {
-                let mut transport =
-                    ReconnectingTcpTransport::connect_with(remote.addr.as_str(), tcp_options)?;
-                let (light, run, new_headers) =
-                    run_remote_session(&mut transport, config, &spec, &mut retrier)?;
-                (light, run, new_headers, transport.reconnects(), None, None)
-            }
-        };
+    // The base connection: a self-healing blocking one, or — under
+    // --pipeline — a negotiated protocol-v2 one (the CLI still issues
+    // one request at a time over it).
+    let addr = remote.addr.as_str();
+    let (session, faults, reconnects, protocol) = match opts.pipeline {
+        Some(window) => {
+            let transport = PipelinedTcpTransport::negotiate(addr, tcp_options, window)?;
+            let protocol = format!("v2 (window {})", transport.granted());
+            let (session, faults, _) =
+                run_session_over(transport, opts.chaos_seed, config, &spec, &mut retrier)?;
+            (session, faults, 0, Some(protocol))
+        }
+        None => {
+            let transport = ReconnectingTcpTransport::connect_with(addr, tcp_options)?;
+            let (session, faults, transport) =
+                run_session_over(transport, opts.chaos_seed, config, &spec, &mut retrier)?;
+            (session, faults, transport.reconnects(), None)
+        }
+    };
+    let RemoteSession {
+        light,
+        run,
+        new_headers,
+    } = session;
     let synced = light.client().tip_height() - new_headers;
 
     writeln!(out, "peer         : {}", remote.addr)?;

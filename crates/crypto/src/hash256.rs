@@ -25,7 +25,6 @@ use crate::sha256::{sha256, sha256d, Sha256};
 /// assert_eq!(h, h.to_string().parse().unwrap());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hash256([u8; 32]);
 
 impl Hash256 {

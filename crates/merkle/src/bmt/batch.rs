@@ -35,7 +35,6 @@ const MAX_DEPTH: u32 = 40;
 /// the verifier derives it from the (hash-bound) leaf filter for each
 /// queried position set independently.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BmtBatchNode {
     /// A leaf endpoint. Each address classifies it from the filter:
     /// clean (its positions are not all set) or matched (needs a
@@ -67,7 +66,6 @@ pub enum BmtBatchNode {
 
 /// A shared multi-address proof over one BMT (one segment in LVQ).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BmtBatchProof {
     root: BmtBatchNode,
 }

@@ -18,7 +18,6 @@ const MAX_DEPTH: u32 = 40;
 /// recomputed by the verifier from Eq. 2/3, so interior hashes and
 /// filters cost nothing on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BmtProofNode {
     /// A leaf endpoint whose filter check is clean: the queried item is
     /// in none of the blocks this leaf covers.
@@ -57,7 +56,6 @@ pub enum BmtProofNode {
 
 /// A merged inexistence proof for one BMT (one segment in LVQ).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BmtProof {
     root: BmtProofNode,
 }

@@ -105,7 +105,6 @@ impl MerkleTree {
 /// Paper §II-A: a branch proves *existence* of a transaction in a block;
 /// it cannot prove inexistence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MerkleBranch {
     leaf_index: u64,
     siblings: Vec<Hash256>,

@@ -238,7 +238,6 @@ impl SortedMerkleTree {
 
 /// One authentication path in an SMT, carrying its leaf data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SmtBranch {
     index: u64,
     key: Vec<u8>,
@@ -350,7 +349,6 @@ impl Decodable for SmtBranch {
 
 /// The shape of an SMT proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SmtProofKind {
     /// The key is present with the branch's committed value.
     Present(SmtBranch),
@@ -377,7 +375,6 @@ pub enum SmtProofKind {
 
 /// A self-contained presence/inexistence proof for one key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SmtProof {
     leaf_count: u64,
     kind: SmtProofKind,

@@ -19,16 +19,19 @@
 //! * [`LightNode`] — stores only headers, issues requests over any
 //!   [`Transport`], and verifies responses with
 //!   [`lvq_core::LightClient`];
-//! * [`Transport`] — the serving abstraction, with two
-//!   interchangeable implementations: [`LocalTransport`] (the
-//!   in-process simulated wire, a [`MeteredPipe`] in front of the
-//!   node) and [`TcpTransport`] (length-prefixed frames over a real
-//!   socket, speaking to a [`NodeServer`]). Both count [`Traffic`] as
-//!   payload bytes only, so measurements agree exactly;
+//! * [`Transport`] — the one serving abstraction (blocking
+//!   `exchange`), with interchangeable implementations:
+//!   [`LocalTransport`] (the in-process simulated wire, a
+//!   [`MeteredPipe`] in front of the node) and [`TcpTransport`]
+//!   (length-prefixed frames over a real socket, speaking to a
+//!   [`NodeServer`]) count [`Traffic`] as payload bytes only, so
+//!   measurements agree exactly; [`PipelinedTcpTransport`] is the
+//!   protocol-v2 connection, which additionally overlaps requests
+//!   through its own `submit`/`recv`;
 //! * [`NodeServer`] — a thread-per-connection TCP server sharing one
 //!   `Arc<FullNode>` (and thus its memo caches) across clients;
-//! * [`query_quorum`] / [`query_quorum_batch`] — cross-check several
-//!   peers and merge their verified answers;
+//! * [`query_quorum`] — cross-check several peers under a retry
+//!   policy and merge their verified answers;
 //! * [`BandwidthModel`] — converts measured bytes into estimated
 //!   transfer times for reporting.
 //!
@@ -96,13 +99,10 @@ pub use message::{
     PROTOCOL_VERSION,
 };
 pub use pipe::{MeteredPipe, Traffic};
-pub use pipelined::{
-    Negotiated, PipelinedTcpTransport, PipelinedTransport, ReqId, SequentialPipeline,
-};
+pub use pipelined::{PipelinedTcpTransport, ReqId};
 pub use quorum::{
-    converge_on_majority, query_quorum, query_quorum_batch, query_quorum_spec, tip_census,
-    MajorityConvergence, PeerHealth, PeerOutcome, QueryPeer, QuorumBatchOutcome, QuorumOutcome,
-    QuorumReport, TipRelation,
+    converge_on_majority, query_quorum, tip_census, MajorityConvergence, PeerHealth, PeerOutcome,
+    QueryPeer, QuorumReport, TipRelation,
 };
 pub use reconnect::ReconnectingTcpTransport;
 pub use retry::{ResyncOutcome, Retrier, RetryPolicy, RetryStats};

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use crate::message::{Message, NodeError};
 use crate::pipe::Traffic;
-use crate::pipelined::{PipelinedTransport, ReqId};
+use crate::pipelined::{PipelinedTcpTransport, ReqId};
 use crate::retry::ResyncOutcome;
 use crate::transport::Transport;
 
@@ -101,6 +101,43 @@ impl QuerySpec {
                 range: self.range,
             }
         }
+    }
+
+    /// Decodes one reply to this spec's request and verifies it with
+    /// `client`, surfacing sheds and refusals as their typed
+    /// [`NodeError`]s (so a retry policy can classify them) — the one
+    /// place a reply becomes verified histories, shared by
+    /// [`LightNode::run`], [`LightNode::run_pipelined`] and
+    /// [`crate::query_quorum`].
+    pub(crate) fn verify_reply(
+        &self,
+        client: &LightClient,
+        reply: &[u8],
+    ) -> Result<Vec<VerifiedHistory>, NodeError> {
+        match (decode_reply(reply)?, self.batch) {
+            (Message::QueryResponse(response), false) => {
+                let address = &self.targets[0];
+                Ok(vec![match self.range {
+                    None => client.verify(address, &response)?,
+                    Some((lo, hi)) => client.verify_range(address, lo, hi, &response)?,
+                }])
+            }
+            (Message::BatchQueryResponse(response), true) => Ok(match self.range {
+                None => client.verify_batch(&self.targets, &response)?,
+                Some((lo, hi)) => client.verify_batch_range(&self.targets, lo, hi, &response)?,
+            }),
+            _ => Err(NodeError::UnexpectedMessage),
+        }
+    }
+}
+
+/// Decodes a reply, surfacing the server's flow-control and refusal
+/// messages as the matching [`NodeError`]s.
+fn decode_reply(reply: &[u8]) -> Result<Message, NodeError> {
+    match decode_exact::<Message>(reply)? {
+        Message::Busy => Err(NodeError::Busy),
+        Message::Error(e) => Err(NodeError::Server(e)),
+        message => Ok(message),
     }
 }
 
@@ -199,7 +236,7 @@ impl LightNode {
     ) -> Result<Self, NodeError> {
         let request = Message::GetHeaders.encode();
         let (reply, traffic) = transport.exchange(&request)?;
-        let Message::Headers(headers) = Self::decode_reply(&reply)? else {
+        let Message::Headers(headers) = decode_reply(&reply)? else {
             return Err(NodeError::UnexpectedMessage);
         };
         // The served headers must carry exactly the commitments the
@@ -269,7 +306,7 @@ impl LightNode {
             }
             .encode();
             let (reply, _) = self.metered_exchange(transport, &request)?;
-            match Self::decode_reply(&reply)? {
+            match decode_reply(&reply)? {
                 Message::Headers(new_headers) => {
                     Self::check_commitment_policy(&new_headers, probe, self.client.config())?;
                     // Validate the tail's linkage onto the agreed
@@ -342,12 +379,12 @@ impl LightNode {
     ) -> Result<QueryRun, NodeError> {
         let request = spec.to_message().encode();
         let (reply, traffic) = self.metered_exchange(transport, &request)?;
-        let histories = self.verify_reply(spec, &reply)?;
+        let histories = spec.verify_reply(&self.client, &reply)?;
         Ok(QueryRun { histories, traffic })
     }
 
-    /// Runs several queries over a [`PipelinedTransport`], keeping up
-    /// to the transport's negotiated window in flight at once.
+    /// Runs several queries over a negotiated protocol-v2 connection,
+    /// keeping up to the granted window in flight at once.
     ///
     /// The requests are the same bytes [`LightNode::run`] would send
     /// one at a time; responses are matched back by request id, so the
@@ -361,12 +398,12 @@ impl LightNode {
     /// arrival). On error the remaining in-flight requests are
     /// abandoned: the connection state is unknown and the transport
     /// should be dropped.
-    pub fn run_pipelined<P: PipelinedTransport + ?Sized>(
+    pub fn run_pipelined(
         &mut self,
         specs: &[QuerySpec],
-        transport: &mut P,
+        transport: &mut PipelinedTcpTransport,
     ) -> Result<Vec<QueryRun>, NodeError> {
-        let window = (transport.max_in_flight().max(1) as usize)
+        let window = (transport.granted() as usize)
             .saturating_sub(transport.in_flight())
             .max(1);
         let mut runs: Vec<Option<QueryRun>> = specs.iter().map(|_| None).collect();
@@ -386,7 +423,7 @@ impl LightNode {
             let index = by_id
                 .remove(&id)
                 .ok_or(NodeError::UnknownRequestId { id })?;
-            let histories = self.verify_reply(&specs[index], &reply)?;
+            let histories = specs[index].verify_reply(&self.client, &reply)?;
             runs[index] = Some(QueryRun { histories, traffic });
             done += 1;
         }
@@ -394,34 +431,6 @@ impl LightNode {
             .into_iter()
             .map(|run| run.expect("every spec was answered"))
             .collect())
-    }
-
-    /// Decodes and verifies one reply against the spec that requested
-    /// it — the shared back half of [`LightNode::run`] and
-    /// [`LightNode::run_pipelined`].
-    fn verify_reply(
-        &self,
-        spec: &QuerySpec,
-        reply: &[u8],
-    ) -> Result<Vec<VerifiedHistory>, NodeError> {
-        let range = spec.height_range();
-        match (Self::decode_reply(reply)?, spec.is_batch()) {
-            (Message::QueryResponse(response), false) => {
-                let address = &spec.targets()[0];
-                Ok(vec![match range {
-                    None => self.client.verify(address, &response)?,
-                    Some((lo, hi)) => self.client.verify_range(address, lo, hi, &response)?,
-                }])
-            }
-            (Message::BatchQueryResponse(response), true) => Ok(match range {
-                None => self.client.verify_batch(spec.targets(), &response)?,
-                Some((lo, hi)) => {
-                    self.client
-                        .verify_batch_range(spec.targets(), lo, hi, &response)?
-                }
-            }),
-            _ => Err(NodeError::UnexpectedMessage),
-        }
     }
 
     /// Runs one query under a retry policy: transient failures (a shed
@@ -472,16 +481,6 @@ impl LightNode {
         })
     }
 
-    /// Decodes a reply, surfacing the server's flow-control and refusal
-    /// messages as the matching [`NodeError`]s.
-    fn decode_reply(reply: &[u8]) -> Result<Message, NodeError> {
-        match decode_exact::<Message>(reply)? {
-            Message::Busy => Err(NodeError::Busy),
-            Message::Error(e) => Err(NodeError::Server(e)),
-            message => Ok(message),
-        }
-    }
-
     /// Checks that `headers` (starting at chain height `offset + 1`)
     /// carry exactly the commitments the trusted configuration's scheme
     /// requires.
@@ -523,7 +522,7 @@ impl LightNode {
 mod tests {
     use super::*;
     use crate::full::{FullNode, RequestKind};
-    use crate::message::{envelope, WireError, WireErrorCode};
+    use crate::message::{WireError, WireErrorCode};
     use crate::transport::LocalTransport;
     use lvq_bloom::BloomParams;
     use lvq_chain::{ChainBuilder, Transaction, TxInput, TxOutPoint, TxOutput};
@@ -1023,95 +1022,6 @@ mod tests {
         assert_eq!(stats.resyncs, 1);
         assert_eq!(stats.resyncs_failed, 1);
         assert_eq!(stats.last_resync, Some(ResyncOutcome::Failed));
-    }
-
-    /// An in-process [`PipelinedTransport`] that answers every submit
-    /// immediately (via [`FullNode::handle_classified`], which speaks
-    /// the v2 envelope) but delivers the buffered responses in
-    /// *reverse* submission order — the worst-case reordering a
-    /// readiness server could produce.
-    struct ReversingPipeline<'a> {
-        full: &'a FullNode,
-        next_id: u64,
-        window: u32,
-        ready: Vec<(ReqId, Vec<u8>, Traffic)>,
-    }
-
-    impl PipelinedTransport for ReversingPipeline<'_> {
-        fn submit(&mut self, request: &[u8]) -> Result<ReqId, NodeError> {
-            let id = self.next_id;
-            self.next_id += 1;
-            let wire = envelope::wrap_v2(request, id);
-            let reply = self.full.handle(&wire).unwrap();
-            let traffic = Traffic {
-                request_bytes: wire.len() as u64,
-                response_bytes: reply.len() as u64,
-            };
-            let (got, v1) = envelope::unwrap_v2(&reply).expect("v2 in, v2 out");
-            assert_eq!(got, id, "the node echoes the request id");
-            self.ready.push((id, v1, traffic));
-            Ok(id)
-        }
-
-        fn recv(&mut self) -> Result<(ReqId, Vec<u8>, Traffic), NodeError> {
-            // LIFO: the most recently submitted request "finishes" first.
-            self.ready.pop().ok_or(NodeError::PipelineViolation {
-                context: "recv with nothing in flight",
-            })
-        }
-
-        fn in_flight(&self) -> usize {
-            self.ready.len()
-        }
-
-        fn max_in_flight(&self) -> u32 {
-            self.window
-        }
-    }
-
-    #[test]
-    fn run_pipelined_reassembles_out_of_order_responses() {
-        let full = full_node(Scheme::Lvq, 10);
-        let config = config_for(Scheme::Lvq);
-        let mut peer = LocalTransport::new(&full);
-        let mut light = LightNode::sync_from(&mut peer, config).unwrap();
-
-        let specs = vec![
-            QuerySpec::address(Address::new("1Shop")),
-            QuerySpec::addresses(vec![Address::new("1Miner"), Address::new("1Ghost")]),
-            QuerySpec::address(Address::new("1Shop")).range(3, 7),
-            QuerySpec::address(Address::new("1Payer")),
-        ];
-        // A window smaller than the spec list exercises the
-        // submit-as-you-drain loop, and LIFO delivery exercises the
-        // id-based reassembly.
-        let mut pipe = ReversingPipeline {
-            full: &full,
-            next_id: 1,
-            window: 2,
-            ready: Vec::new(),
-        };
-        let exchanges_before = light.exchanges();
-        let runs = light.run_pipelined(&specs, &mut pipe).unwrap();
-        assert_eq!(runs.len(), specs.len());
-        assert_eq!(light.exchanges() - exchanges_before, specs.len() as u64);
-
-        // Each pipelined run verifies to exactly what the blocking API
-        // produces, and its traffic is the v1 bytes plus the envelope
-        // overhead on both directions.
-        let overhead = (envelope::V2_HEAD - 1) as u64;
-        for (spec, run) in specs.iter().zip(&runs) {
-            let blocking = light.run(spec, &mut peer).unwrap();
-            assert_eq!(run.histories, blocking.histories);
-            assert_eq!(
-                run.traffic.request_bytes,
-                blocking.traffic.request_bytes + overhead
-            );
-            assert_eq!(
-                run.traffic.response_bytes,
-                blocking.traffic.response_bytes + overhead
-            );
-        }
     }
 
     #[test]

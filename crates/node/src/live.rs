@@ -185,9 +185,7 @@ mod tests {
         for _ in 0..3 {
             let live = Arc::clone(&live);
             handles.push(std::thread::spawn(move || {
-                let mut transport = crate::LocalTransport::new(move |req: &[u8]| {
-                    Ok(live.handle_classified(req).bytes)
-                });
+                let mut transport = crate::LocalTransport::new(&*live);
                 let mut light = crate::LightNode::sync_from(&mut transport, config).unwrap();
                 let spec = crate::QuerySpec::address(Address::new("1Miner"));
                 for _ in 0..20 {

@@ -615,7 +615,7 @@ impl NodeError {
     ///   (bad version, unknown tag, unanswerable request), or a local
     ///   prover failure. Retrying the same peer cannot help; a caller
     ///   holding several peers should fail over instead (see
-    ///   [`crate::query_quorum_spec`]).
+    ///   [`crate::query_quorum`]).
     pub fn retryable(&self) -> bool {
         match self {
             NodeError::Busy
@@ -867,8 +867,8 @@ mod tests {
         assert_eq!(envelope::unwrap_v2(&v1), None);
         assert_eq!(envelope::unwrap_v2(&v2[..8]), None);
         // The v1-strict classifier refuses v2 with a structured error,
-        // which is exactly what a real v1 server answers a v2 Hello
-        // with (the downgrade trigger).
+        // which is exactly what a v1-only peer answers a v2 Hello
+        // with (the client surfaces it as `NodeError::Server`).
         assert_eq!(
             Message::decode_classified(&v2),
             Err(WireError::with_detail(

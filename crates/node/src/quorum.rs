@@ -13,21 +13,24 @@
 //! ([`crate::TcpTransport`]) freely.
 
 use lvq_chain::{balance_of, Address, Transaction};
+use lvq_chain::{BlockSource, TableSource};
 use lvq_codec::{decode_exact, Encodable};
 use lvq_core::{Completeness, LightClient, VerifiedHistory};
 use lvq_crypto::Hash256;
 
 use crate::full::FullNode;
 use crate::light::{LightNode, QuerySpec};
+use crate::live::LiveNode;
 use crate::message::{Message, NodeError};
 use crate::pipe::Traffic;
 use crate::retry::{ResyncOutcome, Retrier, RetryPolicy};
 use crate::transport::Transport;
 
 /// Anything that can answer encoded requests in-process — a
-/// [`FullNode`], or a test double wrapping one (e.g. a censoring
-/// adversary). Wrap it in a [`crate::LocalTransport`] to use it where
-/// a [`Transport`] is expected.
+/// [`FullNode`] or [`LiveNode`] over any storage backend, or a test
+/// double wrapping one (e.g. a censoring adversary). Wrap it in a
+/// [`crate::LocalTransport`] to use it where a [`Transport`] is
+/// expected.
 pub trait QueryPeer {
     /// Handles one encoded request, returning the encoded response.
     ///
@@ -38,15 +41,27 @@ pub trait QueryPeer {
     fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError>;
 }
 
-impl<S: lvq_chain::BlockSource> QueryPeer for FullNode<S> {
+impl<S: BlockSource, T: TableSource> QueryPeer for FullNode<S, T> {
     fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError> {
         self.handle(request)
     }
 }
 
-impl<S: lvq_chain::BlockSource> QueryPeer for &FullNode<S> {
+impl<S: BlockSource, T: TableSource> QueryPeer for &FullNode<S, T> {
     fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError> {
         self.handle(request)
+    }
+}
+
+impl<S: BlockSource, T: TableSource> QueryPeer for LiveNode<S, T> {
+    fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError> {
+        self.with_node(|node| node.handle(request))
+    }
+}
+
+impl<S: BlockSource, T: TableSource> QueryPeer for &LiveNode<S, T> {
+    fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError> {
+        self.with_node(|node| node.handle(request))
     }
 }
 
@@ -54,158 +69,6 @@ impl<F: Fn(&[u8]) -> Result<Vec<u8>, NodeError>> QueryPeer for F {
     fn handle_request(&self, request: &[u8]) -> Result<Vec<u8>, NodeError> {
         self(request)
     }
-}
-
-/// What a quorum query established.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuorumOutcome {
-    /// The merged verified history (union over all peers' proven
-    /// transactions — still provably correct).
-    pub history: VerifiedHistory,
-    /// Total traffic across all peers.
-    pub traffic: Traffic,
-    /// Indices of peers whose verified history was a strict subset of
-    /// the merged one — under a completeness-proving scheme this is
-    /// impossible; under the strawman it exposes withholding peers.
-    pub withholding_peers: Vec<usize>,
-    /// Indices of peers whose response failed verification outright.
-    pub rejected_peers: Vec<usize>,
-}
-
-/// What a batched quorum query established.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuorumBatchOutcome {
-    /// One merged verified history per queried address, in request
-    /// order.
-    pub histories: Vec<VerifiedHistory>,
-    /// Total traffic across all peers.
-    pub traffic: Traffic,
-    /// Indices of peers that withheld transactions for at least one
-    /// address (sorted, deduplicated).
-    pub withholding_peers: Vec<usize>,
-    /// Indices of peers whose response failed verification outright.
-    pub rejected_peers: Vec<usize>,
-}
-
-/// Queries every peer and merges the verified answers.
-///
-/// At least one peer must produce a verifiable response.
-///
-/// # Errors
-///
-/// Returns the last peer error if *all* peers fail.
-pub fn query_quorum(
-    client: &LightClient,
-    peers: &mut [&mut dyn Transport],
-    address: &Address,
-) -> Result<QuorumOutcome, NodeError> {
-    let request = Message::QueryRequest {
-        address: address.clone(),
-        range: None,
-    }
-    .encode();
-
-    let mut traffic = Traffic::default();
-    let mut histories: Vec<(usize, VerifiedHistory)> = Vec::new();
-    let mut rejected_peers = Vec::new();
-    let mut last_error = None;
-
-    for (index, peer) in peers.iter_mut().enumerate() {
-        let verified = peer.exchange(&request).and_then(|(reply, t)| {
-            traffic.request_bytes += t.request_bytes;
-            traffic.response_bytes += t.response_bytes;
-            let Message::QueryResponse(response) = decode_exact::<Message>(&reply)? else {
-                return Err(NodeError::UnexpectedMessage);
-            };
-            Ok(client.verify(address, &response)?)
-        });
-        match verified {
-            Ok(history) => histories.push((index, history)),
-            Err(err) => {
-                rejected_peers.push(index);
-                last_error = Some(err);
-            }
-        }
-    }
-
-    if histories.is_empty() {
-        return Err(last_error.expect("no histories implies at least one error"));
-    }
-
-    let (history, withholding_peers) = merge_histories(address, &histories);
-    Ok(QuorumOutcome {
-        history,
-        traffic,
-        withholding_peers,
-        rejected_peers,
-    })
-}
-
-/// Queries every peer for a whole address batch in one round trip each
-/// and merges the verified answers address by address.
-///
-/// At least one peer must produce a verifiable response; `addresses`
-/// must be non-empty (the prover rejects empty batches).
-///
-/// # Errors
-///
-/// Returns the last peer error if *all* peers fail.
-pub fn query_quorum_batch(
-    client: &LightClient,
-    peers: &mut [&mut dyn Transport],
-    addresses: &[Address],
-) -> Result<QuorumBatchOutcome, NodeError> {
-    let request = Message::BatchQueryRequest {
-        addresses: addresses.to_vec(),
-        range: None,
-    }
-    .encode();
-
-    let mut traffic = Traffic::default();
-    let mut verified_batches: Vec<(usize, Vec<VerifiedHistory>)> = Vec::new();
-    let mut rejected_peers = Vec::new();
-    let mut last_error = None;
-
-    for (index, peer) in peers.iter_mut().enumerate() {
-        let verified = peer.exchange(&request).and_then(|(reply, t)| {
-            traffic.request_bytes += t.request_bytes;
-            traffic.response_bytes += t.response_bytes;
-            let Message::BatchQueryResponse(response) = decode_exact::<Message>(&reply)? else {
-                return Err(NodeError::UnexpectedMessage);
-            };
-            Ok(client.verify_batch(addresses, &response)?)
-        });
-        match verified {
-            Ok(histories) => verified_batches.push((index, histories)),
-            Err(err) => {
-                rejected_peers.push(index);
-                last_error = Some(err);
-            }
-        }
-    }
-
-    if verified_batches.is_empty() {
-        return Err(last_error.expect("no histories implies at least one error"));
-    }
-
-    let mut histories = Vec::with_capacity(addresses.len());
-    let mut withholding = std::collections::BTreeSet::new();
-    for (k, address) in addresses.iter().enumerate() {
-        let per_peer: Vec<(usize, VerifiedHistory)> = verified_batches
-            .iter()
-            .map(|(index, batch)| (*index, batch[k].clone()))
-            .collect();
-        let (merged, withholders) = merge_histories(address, &per_peer);
-        histories.push(merged);
-        withholding.extend(withholders);
-    }
-
-    Ok(QuorumBatchOutcome {
-        histories,
-        traffic,
-        withholding_peers: withholding.into_iter().collect(),
-        rejected_peers,
-    })
 }
 
 /// How one peer fared across a whole quorum query, retries included.
@@ -289,7 +152,7 @@ impl QuorumReport {
 ///
 /// Returns the last peer error only if *no* peer produced a
 /// verifiable response.
-pub fn query_quorum_spec(
+pub fn query_quorum(
     client: &LightClient,
     peers: &mut [&mut dyn Transport],
     spec: &QuerySpec,
@@ -312,7 +175,7 @@ pub fn query_quorum_spec(
             let (reply, t) = peer.exchange(&request)?;
             traffic.request_bytes += t.request_bytes;
             traffic.response_bytes += t.response_bytes;
-            verify_reply(client, spec, &reply)
+            spec.verify_reply(client, &reply)
         });
         let stats = retrier.stats();
         let outcome = match verified {
@@ -532,36 +395,6 @@ pub fn converge_on_majority(
     })
 }
 
-/// Decodes and verifies one reply against `spec`, surfacing sheds and
-/// refusals as their typed [`NodeError`]s (so the retry policy can
-/// classify them).
-fn verify_reply(
-    client: &LightClient,
-    spec: &QuerySpec,
-    reply: &[u8],
-) -> Result<Vec<VerifiedHistory>, NodeError> {
-    let message = match decode_exact::<Message>(reply)? {
-        Message::Busy => return Err(NodeError::Busy),
-        Message::Error(e) => return Err(NodeError::Server(e)),
-        message => message,
-    };
-    let range = spec.height_range();
-    match (message, spec.is_batch()) {
-        (Message::QueryResponse(response), false) => {
-            let address = &spec.targets()[0];
-            Ok(vec![match range {
-                None => client.verify(address, &response)?,
-                Some((lo, hi)) => client.verify_range(address, lo, hi, &response)?,
-            }])
-        }
-        (Message::BatchQueryResponse(response), true) => match range {
-            None => Ok(client.verify_batch(spec.targets(), &response)?),
-            Some((lo, hi)) => Ok(client.verify_batch_range(spec.targets(), lo, hi, &response)?),
-        },
-        _ => Err(NodeError::UnexpectedMessage),
-    }
-}
-
 /// Unions verified histories for one address by `(height, txid)` —
 /// each constituent is verified correct, so every element of the union
 /// is on-chain. Returns the merged history plus the indices of peers
@@ -671,6 +504,16 @@ mod tests {
         }
     }
 
+    /// One quorum sweep with no retries — the shape the single-address
+    /// and batch tests below share.
+    fn quorum_once(
+        client: &LightClient,
+        peers: &mut [&mut dyn Transport],
+        spec: &QuerySpec,
+    ) -> Result<QuorumReport, NodeError> {
+        query_quorum(client, peers, spec, &RetryPolicy::none(), 0)
+    }
+
     #[test]
     fn quorum_of_honest_peers_agrees() {
         let a = full_node(Scheme::Lvq);
@@ -678,17 +521,19 @@ mod tests {
         let client = LightClient::new(a.config(), a.chain().headers());
         let mut ta = LocalTransport::new(&a);
         let mut tb = LocalTransport::new(&b);
-        let outcome =
-            query_quorum(&client, &mut [&mut ta, &mut tb], &Address::new("1Victim")).unwrap();
-        assert_eq!(outcome.history.transactions.len(), 8);
-        assert!(outcome.withholding_peers.is_empty());
-        assert!(outcome.rejected_peers.is_empty());
-        assert_eq!(outcome.history.completeness, Completeness::Complete);
-        // Per-peer accounting survives the quorum sweep.
-        assert_eq!(ta.exchanges(), 1);
-        assert_eq!(tb.exchanges(), 1);
+        let spec = QuerySpec::address(Address::new("1Victim"));
+        let report = quorum_once(&client, &mut [&mut ta, &mut tb], &spec).unwrap();
+        assert_eq!(report.histories[0].transactions.len(), 8);
+        assert!(report.withholding_peers.is_empty());
+        assert!(!report.is_degraded());
+        assert!(report.fork_peers.is_empty());
+        assert_eq!(report.histories[0].completeness, Completeness::Complete);
+        // Per-peer accounting survives the quorum sweep: one query and
+        // one census probe each.
+        assert_eq!(ta.exchanges(), 2);
+        assert_eq!(tb.exchanges(), 2);
         assert_eq!(
-            outcome.traffic.total(),
+            report.traffic.total(),
             ta.cumulative_traffic().total() + tb.cumulative_traffic().total()
         );
     }
@@ -697,24 +542,27 @@ mod tests {
     fn quorum_exposes_strawman_withholding() {
         let honest = full_node(Scheme::Strawman);
         let client = LightClient::new(honest.config(), honest.chain().headers());
-        let victim = Address::new("1Victim");
+        let spec = QuerySpec::address(Address::new("1Victim"));
 
         // Alone, the censoring peer gets away with it (Challenge 3):
         // one of the two transactions per even block disappears and the
         // response still verifies as correct.
         let mut censor = LocalTransport::new(censoring(&honest));
-        let alone = query_quorum(&client, &mut [&mut censor], &victim).unwrap();
-        assert_eq!(alone.history.transactions.len(), 4);
+        let alone = quorum_once(&client, &mut [&mut censor], &spec).unwrap();
+        assert_eq!(alone.histories[0].transactions.len(), 4);
         assert!(alone.withholding_peers.is_empty(), "undetectable alone");
 
         // Next to an honest peer the union restores the truth and the
         // censor is identified by index.
         let mut honest_t = LocalTransport::new(&honest);
-        let both = query_quorum(&client, &mut [&mut censor, &mut honest_t], &victim).unwrap();
-        assert_eq!(both.history.transactions.len(), 8);
+        let both = quorum_once(&client, &mut [&mut censor, &mut honest_t], &spec).unwrap();
+        assert_eq!(both.histories[0].transactions.len(), 8);
         assert_eq!(both.withholding_peers, vec![0]);
         // Strawman never claims completeness.
-        assert_eq!(both.history.completeness, Completeness::CorrectnessOnly);
+        assert_eq!(
+            both.histories[0].completeness,
+            Completeness::CorrectnessOnly
+        );
     }
 
     #[test]
@@ -724,14 +572,16 @@ mod tests {
         let broken_fn = |_req: &[u8]| -> Result<Vec<u8>, NodeError> { Ok(vec![0xFF, 0xFF]) };
         let mut broken = LocalTransport::new(broken_fn);
         let mut honest_t = LocalTransport::new(&honest);
-        let outcome = query_quorum(
-            &client,
-            &mut [&mut broken, &mut honest_t],
-            &Address::new("1Victim"),
-        )
-        .unwrap();
-        assert_eq!(outcome.rejected_peers, vec![0]);
-        assert_eq!(outcome.history.transactions.len(), 8);
+        let spec = QuerySpec::address(Address::new("1Victim"));
+        let report = quorum_once(&client, &mut [&mut broken, &mut honest_t], &spec).unwrap();
+        // Undecodable bytes read as in-flight corruption (retryable),
+        // so with the retry budget spent the peer counts as lost.
+        assert!(matches!(
+            report.peers[0].outcome,
+            PeerOutcome::Unreachable(NodeError::Wire(_))
+        ));
+        assert!(report.peers[1].served());
+        assert_eq!(report.histories[0].transactions.len(), 8);
     }
 
     #[test]
@@ -740,7 +590,8 @@ mod tests {
         let client = LightClient::new(honest.config(), honest.chain().headers());
         let broken_fn = |_req: &[u8]| -> Result<Vec<u8>, NodeError> { Ok(vec![0xFF]) };
         let mut broken = LocalTransport::new(broken_fn);
-        assert!(query_quorum(&client, &mut [&mut broken], &Address::new("1Victim")).is_err());
+        let spec = QuerySpec::address(Address::new("1Victim"));
+        assert!(quorum_once(&client, &mut [&mut broken], &spec).is_err());
     }
 
     #[test]
@@ -782,7 +633,7 @@ mod tests {
         let mut t1 = LocalTransport::new(flaky);
         let mut t2 = LocalTransport::new(&liar);
         let spec = QuerySpec::address(Address::new("1Victim"));
-        let report = query_quorum_spec(
+        let report = query_quorum(
             &client,
             &mut [&mut t0, &mut t1, &mut t2],
             &spec,
@@ -815,7 +666,7 @@ mod tests {
         let mut u0 = LocalTransport::new(dead);
         let mut u1 = LocalTransport::new(flaky);
         let mut u2 = LocalTransport::new(&liar);
-        let again = query_quorum_spec(
+        let again = query_quorum(
             &client,
             &mut [&mut u0, &mut u1, &mut u2],
             &spec,
@@ -841,7 +692,7 @@ mod tests {
         let mut t1 = LocalTransport::new(dead);
         let spec = QuerySpec::address(Address::new("1Victim"));
         assert!(
-            query_quorum_spec(&client, &mut [&mut t0, &mut t1], &spec, &policy, 1).is_err(),
+            query_quorum(&client, &mut [&mut t0, &mut t1], &spec, &policy, 1).is_err(),
             "no serving peer means no answer"
         );
 
@@ -849,7 +700,7 @@ mod tests {
         let mut honest_t = LocalTransport::new(&honest);
         let mut dead_t = LocalTransport::new(dead);
         let spec = QuerySpec::addresses(vec![Address::new("1Victim"), Address::new("1Miner")]);
-        let report = query_quorum_spec(
+        let report = query_quorum(
             &client,
             &mut [&mut dead_t, &mut honest_t],
             &spec,
@@ -899,7 +750,7 @@ mod tests {
         let mut t2 = LocalTransport::new(&canonical);
         let policy = RetryPolicy::new(1);
         let spec = QuerySpec::address(Address::new("1Miner"));
-        let report = query_quorum_spec(
+        let report = query_quorum(
             light.client(),
             &mut [&mut t0, &mut t1, &mut t2],
             &spec,
@@ -961,21 +812,21 @@ mod tests {
     fn batch_quorum_merges_per_address() {
         let honest = full_node(Scheme::Strawman);
         let client = LightClient::new(honest.config(), honest.chain().headers());
-        let addresses = [
+        let spec = QuerySpec::addresses(vec![
             Address::new("1Victim"),
             Address::new("1Miner"),
             Address::new("1Ghost"),
-        ];
+        ]);
         let mut honest_t = LocalTransport::new(&honest);
-        let outcome = query_quorum_batch(&client, &mut [&mut honest_t], &addresses).unwrap();
-        assert_eq!(outcome.histories.len(), 3);
-        assert_eq!(outcome.histories[0].transactions.len(), 8);
-        assert_eq!(outcome.histories[1].transactions.len(), 8);
-        assert!(outcome.histories[2].transactions.is_empty());
-        assert!(outcome.rejected_peers.is_empty());
-        assert!(outcome.withholding_peers.is_empty());
-        // One round trip for the whole batch.
-        assert_eq!(honest_t.exchanges(), 1);
+        let report = quorum_once(&client, &mut [&mut honest_t], &spec).unwrap();
+        assert_eq!(report.histories.len(), 3);
+        assert_eq!(report.histories[0].transactions.len(), 8);
+        assert_eq!(report.histories[1].transactions.len(), 8);
+        assert!(report.histories[2].transactions.is_empty());
+        assert!(!report.is_degraded());
+        assert!(report.withholding_peers.is_empty());
+        // One round trip for the whole batch, plus the census probe.
+        assert_eq!(honest_t.exchanges(), 2);
     }
 
     #[test]
@@ -985,13 +836,12 @@ mod tests {
         // address is enough to flag the peer.
         let honest = full_node(Scheme::Strawman);
         let client = LightClient::new(honest.config(), honest.chain().headers());
-        let addresses = [Address::new("1Victim"), Address::new("1Miner")];
+        let spec = QuerySpec::addresses(vec![Address::new("1Victim"), Address::new("1Miner")]);
         let mut censor = LocalTransport::new(censoring_batch(&honest));
         let mut honest_t = LocalTransport::new(&honest);
-        let outcome =
-            query_quorum_batch(&client, &mut [&mut censor, &mut honest_t], &addresses).unwrap();
-        assert_eq!(outcome.histories[0].transactions.len(), 8);
-        assert_eq!(outcome.withholding_peers, vec![0]);
-        assert!(outcome.rejected_peers.is_empty());
+        let report = quorum_once(&client, &mut [&mut censor, &mut honest_t], &spec).unwrap();
+        assert_eq!(report.histories[0].transactions.len(), 8);
+        assert_eq!(report.withholding_peers, vec![0]);
+        assert!(!report.is_degraded());
     }
 }

@@ -560,7 +560,7 @@ enum Mode {
     /// v2 pipelining with the negotiated in-flight cap (1 until a
     /// `Hello` arrives).
     V2 {
-        /// Negotiated in-flight cap.
+        /// The granted in-flight cap.
         cap: u32,
     },
 }

@@ -16,7 +16,9 @@ use lvq_bloom::BloomParams;
 use lvq_chain::{Address, Block, BlockSource, Chain, ChainBuilder, TableSource, Transaction};
 use lvq_codec::Encodable;
 use lvq_core::{Prover, Scheme, SchemeConfig};
-use lvq_node::{FullNode, IngestConfig, LiveNode, MemoryFeed, TipIngester};
+use lvq_node::{
+    FullNode, IngestConfig, LiveNode, LocalTransport, MemoryFeed, Message, TipIngester, Transport,
+};
 use lvq_store::{
     open_chain_indexed, AddrIndexRecovery, BlockStore, DiskBlockSource, IndexedTables, StoreConfig,
 };
@@ -157,6 +159,17 @@ fn follow_the_tip_writes_the_index_and_reopens_with_point_reads() {
         );
         assert_eq!(truth.history_of(&address), chain.history_of(&address));
     }
+
+    // An index-backed node goes behind `LocalTransport` as it is, and
+    // the transport carries the very bytes `handle` produces.
+    let full = FullNode::new(chain).unwrap();
+    let request = Message::QueryRequest {
+        address: Address::new("1Sparse"),
+        range: None,
+    }
+    .encode();
+    let (reply, _) = LocalTransport::new(&full).exchange(&request).unwrap();
+    assert_eq!(reply, full.handle(&request).unwrap());
 }
 
 #[test]

@@ -92,10 +92,9 @@ pub mod prelude {
     pub use lvq_crypto::Hash256;
     pub use lvq_merkle::{Bmt, BmtProof, MerkleBranch, MerkleTree, SmtProof, SortedMerkleTree};
     pub use lvq_node::{
-        query_quorum, query_quorum_batch, BandwidthModel, FullNode, LightNode, LocalTransport,
-        Negotiated, NodeServer, PipelinedTcpTransport, PipelinedTransport, QueryEngineStats,
-        QueryPeer, QueryRun, QuerySpec, QuorumBatchOutcome, QuorumOutcome, SequentialPipeline,
-        ServeNode, ServerConfig, ServerStats, TcpOptions, TcpTransport, Transport,
+        query_quorum, BandwidthModel, FullNode, LightNode, LocalTransport, NodeServer,
+        PipelinedTcpTransport, QueryEngineStats, QueryPeer, QueryRun, QuerySpec, QuorumReport,
+        RetryPolicy, ServeNode, ServerConfig, ServerStats, TcpOptions, TcpTransport, Transport,
     };
     pub use lvq_store::{ingest_chain, open_chain, BlockStore, DiskBlockSource, StoreConfig};
     pub use lvq_workload::{probes, TrafficModel, Workload, WorkloadBuilder};

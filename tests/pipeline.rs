@@ -1,7 +1,7 @@
 //! Protocol-negotiation and pipelining edge tests: v1↔v2 byte
-//! identity, downgrade on the same connection, duplicate and unknown
-//! request ids, and out-of-order response reassembly — over both the
-//! in-process [`FullNode`] and a real [`NodeServer`] socket.
+//! identity, the typed refusal from a v1-only peer, duplicate and
+//! unknown request ids, and out-of-order response reassembly — over
+//! both the in-process [`FullNode`] and a real [`NodeServer`] socket.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -104,11 +104,7 @@ fn v1_and_v2_wire_exchanges_are_byte_identical() {
     let addr = server.local_addr();
 
     let mut v1 = TcpTransport::connect(addr).unwrap();
-    let Negotiated::V2(mut v2) =
-        PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 8).unwrap()
-    else {
-        panic!("a v2 server must acknowledge the Hello")
-    };
+    let mut v2 = PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 8).unwrap();
     assert_eq!(v2.granted(), 8);
 
     let requests = [
@@ -146,26 +142,21 @@ fn v1_and_v2_wire_exchanges_are_byte_identical() {
     assert_eq!(stats.errors, 0);
 }
 
-/// A v2 client dialing a v1-only server (emulated with a raw frame
-/// loop that refuses the version byte exactly as the old server did)
-/// downgrades on the same connection and completes a verified session
-/// — through the [`SequentialPipeline`] shim, so pipelined callers
-/// need no v1 code path of their own.
+/// A v2 client dialing a v1-only peer (emulated with a raw frame loop
+/// that refuses the version byte exactly as the old server did) gets
+/// the peer's refusal back as a typed, non-retryable error — promptly,
+/// and without a second protocol path on the client.
 #[test]
-fn v2_client_downgrades_against_a_v1_server_on_the_same_connection() {
-    let (full, config) = test_node();
-    let full = Arc::new(full);
+fn v1_only_peer_refusal_is_a_typed_error() {
+    let (full, _) = test_node();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
-    let server_full = Arc::clone(&full);
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         while let Ok(payload) = read_frame(&mut stream, MAX_FRAME_LEN) {
             let reply = if payload.first() == Some(&PROTOCOL_VERSION) {
-                server_full
-                    .handle(&payload)
-                    .expect("well-formed v1 request")
+                full.handle(&payload).expect("well-formed v1 request")
             } else {
                 // What a v1 server answers to an unknown version byte.
                 Message::Error(WireError::with_detail(
@@ -178,24 +169,15 @@ fn v2_client_downgrades_against_a_v1_server_on_the_same_connection() {
         }
     });
 
-    let negotiated = PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 8).unwrap();
-    let Negotiated::V1(mut tcp) = negotiated else {
-        panic!("a v1 refusal must downgrade, not error")
+    let options = TcpOptions::new().with_read_timeout(Some(Duration::from_secs(5)));
+    let err = PipelinedTcpTransport::negotiate(addr, options, 8).unwrap_err();
+    let NodeError::Server(refusal) = &err else {
+        panic!("expected the peer's refusal, got {err:?}")
     };
-
-    // The downgraded connection carries a full verified session.
-    let mut light = LightNode::sync_from(&mut tcp, config).unwrap();
-    let mut shim = SequentialPipeline::new(tcp);
-    let specs = [
-        QuerySpec::address(Address::new("1Quick")),
-        QuerySpec::address(Address::new("1Slow")),
-    ];
-    let runs = light.run_pipelined(&specs, &mut shim).unwrap();
-    assert_eq!(runs.len(), 2);
-    for run in runs {
-        assert_eq!(run.into_single().transactions.len(), 4);
-    }
-    drop(shim);
+    assert_eq!(refusal.code, WireErrorCode::UnsupportedVersion);
+    assert!(!err.retryable(), "a version refusal never heals on retry");
+    // The failed negotiation dropped the connection, so the peer's
+    // frame loop ends instead of hanging on a half-open socket.
     server.join().unwrap();
 }
 
@@ -279,11 +261,7 @@ fn unknown_request_id_is_surfaced_to_the_client() {
         write_frame(&mut stream, &reply).unwrap();
     });
 
-    let Negotiated::V2(mut v2) =
-        PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 4).unwrap()
-    else {
-        panic!("the fake server acks the Hello")
-    };
+    let mut v2 = PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 4).unwrap();
     v2.submit(&Message::GetHeaders.encode()).unwrap();
     match v2.recv() {
         Err(NodeError::UnknownRequestId { id: 999 }) => {}
@@ -310,7 +288,9 @@ impl ServeNode for SlowNode {
 
 /// Out-of-order completion end to end: a slow proof submitted first
 /// comes back last on the wire, and [`LightNode::run_pipelined`]
-/// still returns verified results in spec order.
+/// still returns verified results in spec order — with a window
+/// smaller than the spec list, so the submit-as-you-drain loop and the
+/// id-based reassembly are both exercised.
 #[test]
 fn out_of_order_responses_are_reassembled_in_spec_order() {
     let (full, config) = test_node();
@@ -319,11 +299,8 @@ fn out_of_order_responses_are_reassembled_in_spec_order() {
     let server = NodeServer::bind(node, "127.0.0.1:0", server_config).unwrap();
     let addr = server.local_addr();
 
-    let Negotiated::V2(mut v2) =
-        PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 4).unwrap()
-    else {
-        panic!("a v2 server must acknowledge the Hello")
-    };
+    let mut v2 = PipelinedTcpTransport::negotiate(addr, TcpOptions::default(), 2).unwrap();
+    assert_eq!(v2.granted(), 2);
 
     // Raw arrival order: the slow request goes in first, comes out
     // last.
@@ -339,6 +316,7 @@ fn out_of_order_responses_are_reassembled_in_spec_order() {
     .encode();
     let slow_id = v2.submit(&slow).unwrap();
     let quick_id = v2.submit(&quick).unwrap();
+    assert_eq!(v2.in_flight(), 2);
     let (first, _, _) = v2.recv().unwrap();
     let (second, _, _) = v2.recv().unwrap();
     assert_eq!(
@@ -347,18 +325,41 @@ fn out_of_order_responses_are_reassembled_in_spec_order() {
     );
     assert_eq!(second, slow_id);
 
-    // The high-level client reassembles into spec order regardless.
+    // The high-level client reassembles into spec order regardless:
+    // five specs of every shape through a window of two, the slow one
+    // first.
     let mut light = LightNode::sync_from(&mut v2, config).unwrap();
     let specs = [
         QuerySpec::address(Address::new("1Slow")),
         QuerySpec::address(Address::new("1Quick")),
-        QuerySpec::address(Address::new("1Quick")),
+        QuerySpec::addresses(vec![Address::new("1Quick"), Address::new("1Miss2")]),
+        QuerySpec::address(Address::new("1Quick")).range(3, 7),
+        QuerySpec::address(Address::new("1Miss3")),
     ];
+    let exchanges_before = light.exchanges();
     let runs = light.run_pipelined(&specs, &mut v2).unwrap();
-    assert_eq!(runs.len(), 3);
-    for run in runs {
-        assert_eq!(run.into_single().transactions.len(), 4);
+    assert_eq!(runs.len(), specs.len());
+    assert_eq!(light.exchanges() - exchanges_before, specs.len() as u64);
+
+    // Each pipelined run verifies to exactly what the blocking API
+    // produces, and its traffic is the blocking bytes plus the envelope
+    // overhead in each direction.
+    let mut v1 = TcpTransport::connect(addr).unwrap();
+    let overhead = (envelope::V2_HEAD - 1) as u64;
+    for (spec, run) in specs.iter().zip(&runs) {
+        let blocking = light.run(spec, &mut v1).unwrap();
+        assert_eq!(run.histories, blocking.histories);
+        assert_eq!(
+            run.traffic.request_bytes,
+            blocking.traffic.request_bytes + overhead
+        );
+        assert_eq!(
+            run.traffic.response_bytes,
+            blocking.traffic.response_bytes + overhead
+        );
     }
+    assert_eq!(runs[0].histories[0].transactions.len(), 4);
+    drop(v1);
     drop(v2);
 
     let stats = server.shutdown();
