@@ -117,6 +117,37 @@ pub trait Decodable: Sized {
     /// Returns a [`DecodeError`] if the input is truncated, non-canonical,
     /// or contains invalid values.
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Decodes `len` consecutive values: the body of the `Vec<T>`
+    /// encoding, after its length prefix.
+    ///
+    /// A hook, not a second format: an override must accept exactly the
+    /// inputs this default accepts and return the same values. `u8`
+    /// overrides it with one bounds check and one copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first element's [`DecodeError`], and
+    /// [`DecodeError::UnexpectedEof`] if the input ends early.
+    fn decode_vec(reader: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, DecodeError> {
+        let reserve = prealloc_elements(len, reader.remaining(), std::mem::size_of::<Self>());
+        let mut out = Vec::with_capacity(reserve);
+        for _ in 0..len {
+            out.push(Self::decode_from(reader)?);
+        }
+        Ok(out)
+    }
+}
+
+/// How many elements of `elem_size` bytes in memory to reserve before
+/// decoding a sequence that claims `claimed_len` of them.
+///
+/// `claimed_len` is attacker-controlled. The reservation is capped in
+/// *bytes* at the input that is left, so a decoder never pre-allocates
+/// more memory than it was handed: a sequence whose elements are wider
+/// in memory than on the wire grows as it is validated instead.
+fn prealloc_elements(claimed_len: usize, remaining_bytes: usize, elem_size: usize) -> usize {
+    claimed_len.min(remaining_bytes / elem_size.max(1))
 }
 
 /// Decodes a value and requires the input to be fully consumed.
@@ -160,6 +191,10 @@ impl Decodable for u8 {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         reader.read_u8()
     }
+
+    fn decode_vec(reader: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, DecodeError> {
+        Ok(reader.read_bytes(len)?.to_vec())
+    }
 }
 
 impl Decodable for bool {
@@ -184,14 +219,7 @@ impl<const N: usize> Decodable for [u8; N] {
 impl<T: Decodable> Decodable for Vec<T> {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = reader.read_len()?;
-        // Cap the pre-allocation: `len` is attacker-controlled, and element
-        // encodings are at least one byte, so anything larger than the
-        // remaining input is certain to fail with EOF anyway.
-        let mut out = Vec::with_capacity(len.min(reader.remaining()));
-        for _ in 0..len {
-            out.push(T::decode_from(reader)?);
-        }
-        Ok(out)
+        T::decode_vec(reader, len)
     }
 }
 
@@ -271,6 +299,74 @@ mod tests {
     }
 
     #[test]
+    fn preallocation_is_capped_in_bytes() {
+        #[allow(dead_code)]
+        struct Wide([u64; 16]);
+        let claimed = crate::MAX_DECODE_LEN as usize;
+        for remaining in [0usize, 1, 31, 32, 4096, claimed] {
+            for size in [
+                std::mem::size_of::<u8>(),
+                std::mem::size_of::<[u8; 32]>(),
+                std::mem::size_of::<Wide>(),
+            ] {
+                let reserved = prealloc_elements(claimed, remaining, size);
+                assert!(
+                    reserved * size <= remaining,
+                    "{reserved} x {size} B of {remaining} B"
+                );
+            }
+        }
+        // An honest prefix is reserved in full; zero-sized elements do
+        // not divide by zero.
+        assert_eq!(prealloc_elements(3, 96, 32), 3);
+        assert_eq!(prealloc_elements(4, 96, 32), 3);
+        assert_eq!(prealloc_elements(7, 5, 0), 5);
+    }
+
+    #[test]
+    fn maximal_prefix_on_truncated_input_is_eof() {
+        let mut buf = Vec::new();
+        crate::write_compact_size(&mut buf, crate::MAX_DECODE_LEN);
+        buf.extend_from_slice(&[0u8; 40]);
+        // The generic hook, with elements wider in memory than the whole
+        // input: 32 Mi x 40 B would be 1.25 GiB reserved up front.
+        assert!(matches!(
+            decode_exact::<Vec<(u64, [u8; 32])>>(&buf),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
+        assert!(matches!(
+            decode_exact::<Vec<Byte>>(&buf),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
+        // The `u8` hook.
+        assert!(matches!(
+            decode_exact::<Vec<u8>>(&buf),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
+    }
+
+    /// A byte that keeps the traits' *default* slice hooks: what
+    /// `Vec<u8>` was before `u8` overrode them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Byte(u8);
+
+    impl Encodable for Byte {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.push(self.0);
+        }
+
+        fn encoded_len(&self) -> usize {
+            1
+        }
+    }
+
+    impl Decodable for Byte {
+        fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            reader.read_u8().map(Byte)
+        }
+    }
+
+    #[test]
     fn invalid_utf8_rejected() {
         // length 1, byte 0xFF: invalid UTF-8.
         assert_eq!(
@@ -288,6 +384,25 @@ mod tests {
         #[test]
         fn roundtrip_vec_u32(v: Vec<u32>) {
             prop_assert_eq!(decode_exact::<Vec<u32>>(&v.encode()).unwrap(), v);
+        }
+
+        /// The `u8` slice hooks change speed, not bytes: same encoding,
+        /// same `encoded_len`, and each side decodes the other's output.
+        /// Lengths cross the one- to three-byte CompactSize boundary.
+        #[test]
+        fn byte_string_hooks_match_the_default(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let slow: Vec<Byte> = bytes.iter().copied().map(Byte).collect();
+            prop_assert_eq!(bytes.encode(), slow.encode());
+            prop_assert_eq!(bytes.encoded_len(), slow.encoded_len());
+            prop_assert_eq!(bytes.encoded_len(), bytes.encode().len());
+            prop_assert_eq!(&decode_exact::<Vec<u8>>(&slow.encode()).unwrap(), &bytes);
+            prop_assert_eq!(&decode_exact::<Vec<Byte>>(&bytes.encode()).unwrap(), &slow);
+            // Truncation is an error on both paths.
+            let cut = &bytes.encode()[..bytes.encoded_len() - 1];
+            prop_assert!(decode_exact::<Vec<u8>>(cut).is_err());
+            prop_assert!(decode_exact::<Vec<Byte>>(cut).is_err());
         }
 
         #[test]

@@ -36,6 +36,30 @@ pub trait Encodable {
         debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
+
+    /// Appends the encoding of each of `items` in order, with no length
+    /// prefix: the body of the `[T]` / `Vec<T>` encoding.
+    ///
+    /// A hook, not a second format: an override must append exactly the
+    /// bytes this default appends. `u8` overrides it with one
+    /// `extend_from_slice`, so byte strings move at `memcpy` speed.
+    fn encode_slice_into(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode_into(out);
+        }
+    }
+
+    /// Returns the exact number of bytes [`Encodable::encode_slice_into`]
+    /// appends for `items`.
+    fn encoded_len_of_slice(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encodable::encoded_len).sum()
+    }
 }
 
 macro_rules! impl_encodable_int {
@@ -52,7 +76,25 @@ macro_rules! impl_encodable_int {
     )*};
 }
 
-impl_encodable_int!(u8, u16, u32, u64, i64);
+impl_encodable_int!(u16, u32, u64, i64);
+
+impl Encodable for u8 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
+
+    fn encode_slice_into(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn encoded_len_of_slice(items: &[u8]) -> usize {
+        items.len()
+    }
+}
 
 impl Encodable for bool {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -88,13 +130,11 @@ impl<T: Encodable> Encodable for Vec<T> {
 impl<T: Encodable> Encodable for [T] {
     fn encode_into(&self, out: &mut Vec<u8>) {
         write_compact_size(out, self.len() as u64);
-        for item in self {
-            item.encode_into(out);
-        }
+        T::encode_slice_into(self, out);
     }
 
     fn encoded_len(&self) -> usize {
-        compact_size_len(self.len() as u64) + self.iter().map(Encodable::encoded_len).sum::<usize>()
+        compact_size_len(self.len() as u64) + T::encoded_len_of_slice(self)
     }
 }
 

@@ -63,53 +63,60 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            } else {
+            if self.buf_len < 64 {
                 // The buffer is still partial, so `rest` was fully
                 // consumed; falling through would clobber `buf_len`.
                 debug_assert!(rest.is_empty());
                 return;
             }
+            compress(&mut self.state, &self.buf);
         }
 
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        // Whole blocks are compressed where they lie, in one call.
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        let tail = chunks.remainder();
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
 
     /// Completes the hash, consuming the hasher.
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding (FIPS 180-4 §5.1.1): 0x80, zeros up to 56 mod 64, then
+        // the message length in bits as a big-endian u64.
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used >= 56 {
+            // No room for the length: it goes in a block of its own.
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
+        }
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, then zero padding, then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // The length bytes complete the final block; bypass `update`'s
-        // total_len bookkeeping by feeding them as ordinary data (total_len
-        // is already captured in `bit_len`).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        digest_bytes(&self.state)
     }
+}
 
-    /// One application of the SHA-256 compression function.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The digest a final state stands for: its words, big-endian.
+fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The seam every digest in the workspace goes through: applies the
+/// SHA-256 compression function (FIPS 180-4 §6.2.2) to each 64-byte
+/// block of `blocks` in turn, reading them straight from the caller's
+/// slice. Portable scalar rounds; a hardware implementation (ROADMAP)
+/// plugs in behind this one signature.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -123,7 +130,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -147,14 +154,9 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -196,41 +198,70 @@ mod tests {
         out
     }
 
+    /// FIPS 180-4 §5.1.1 padding, the obvious way: independent of
+    /// `Sha256::finalize`.
+    fn padded(data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        out.push(0x80);
+        while out.len() % 64 != 56 {
+            out.push(0);
+        }
+        out.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        out
+    }
+
+    /// The digest of `data` from one multi-block call of `compress`,
+    /// bypassing `Sha256`'s buffering and padding.
+    fn one_call_digest(data: &[u8]) -> [u8; 32] {
+        let mut state = H0;
+        compress(&mut state, &padded(data));
+        digest_bytes(&state)
+    }
+
+    /// Asserts that the hasher and a direct multi-block `compress` both
+    /// produce `expected`.
+    fn assert_digest(data: &[u8], expected: [u8; 32]) {
+        assert_eq!(sha256(data), expected, "hasher, len={}", data.len());
+        assert_eq!(
+            one_call_digest(data),
+            expected,
+            "one call, len={}",
+            data.len()
+        );
+    }
+
     /// FIPS 180-4 / NIST CAVP vectors.
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            sha256(b""),
-            hex32("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        assert_digest(
+            b"",
+            hex32("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         );
-        assert_eq!(
-            sha256(b"abc"),
-            hex32("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        assert_digest(
+            b"abc",
+            hex32("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
         );
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            hex32("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            hex32("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
         );
-        assert_eq!(
-            sha256(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            ),
-            hex32("cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1")
+        assert_digest(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+              hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            hex32("cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"),
         );
     }
 
     #[test]
     fn million_a() {
+        let expected = hex32("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+        assert_digest(&vec![b'a'; 1_000_000], expected);
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            h.finalize(),
-            hex32("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
-        );
+        assert_eq!(h.finalize(), expected);
     }
 
     #[test]
@@ -244,25 +275,47 @@ mod tests {
 
     #[test]
     fn boundary_lengths_match_one_shot() {
-        // Exercise padding across the 55/56/63/64/65-byte boundaries.
-        for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 127, 128, 129, 1000] {
+        // Exercise padding across the block boundaries: 55 is the last
+        // length whose padding fits its block, 56..=64 spill into a
+        // block of their own, and 119/120 repeat that one block later.
+        for len in [
+            0usize, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 129, 1000,
+        ] {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let mut incremental = Sha256::new();
             for b in &data {
                 incremental.update(std::slice::from_ref(b));
             }
-            assert_eq!(incremental.finalize(), sha256(&data), "len={len}");
+            assert_digest(&data, incremental.finalize());
         }
     }
 
+    /// Cuts `data` at the given offsets (each taken modulo what is left).
+    fn pieces<'a>(mut data: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut out = Vec::new();
+        for cut in cuts {
+            let (head, rest) = data.split_at(cut % (data.len() + 1));
+            out.push(head);
+            data = rest;
+        }
+        out.push(data);
+        out
+    }
+
     proptest! {
+        /// `Sha256` fed in arbitrary chunks equals the reference padding
+        /// compressed in one call.
         #[test]
-        fn chunked_update_equals_one_shot(data: Vec<u8>, split in 0usize..256) {
-            let split = split.min(data.len());
+        fn chunked_update_equals_one_shot(
+            data in proptest::collection::vec(any::<u8>(), 0..400),
+            cuts in proptest::collection::vec(0usize..200, 0..6),
+        ) {
             let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            prop_assert_eq!(h.finalize(), sha256(&data));
+            for piece in pieces(&data, &cuts) {
+                h.update(piece);
+            }
+            prop_assert_eq!(h.finalize(), one_call_digest(&data));
+            prop_assert_eq!(sha256(&data), one_call_digest(&data));
         }
 
         #[test]

@@ -18,6 +18,8 @@
 //! whenever the descents overlap — which they always do near the root,
 //! where filters are densest.
 
+use std::borrow::Cow;
+
 use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
@@ -155,14 +157,14 @@ impl BmtBatchProof {
         Ok(coverages)
     }
 
-    fn verify_node(
-        node: &BmtBatchNode,
+    fn verify_node<'a>(
+        node: &'a BmtBatchNode,
         lo: u64,
         hi: u64,
         params: BloomParams,
         position_sets: &[Vec<u64>],
         coverages: &mut [BmtCoverage],
-    ) -> Result<(Hash256, BloomFilter), BmtError> {
+    ) -> Result<(Hash256, Cow<'a, BloomFilter>), BmtError> {
         match node {
             BmtBatchNode::Leaf { filter } => {
                 if lo != hi {
@@ -178,7 +180,7 @@ impl BmtBatchProof {
                         coverage.failed_leaves.push(lo);
                     }
                 }
-                Ok((leaf_hash(filter), filter.clone()))
+                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
             }
             BmtBatchNode::CleanNode {
                 filter,
@@ -199,7 +201,10 @@ impl BmtBatchProof {
                     }
                     coverage.clean_ranges.push((lo, hi));
                 }
-                Ok((internal_hash(left_hash, right_hash, filter), filter.clone()))
+                Ok((
+                    internal_hash(left_hash, right_hash, filter),
+                    Cow::Borrowed(filter),
+                ))
             }
             BmtBatchNode::Branch { left, right } => {
                 if lo == hi {
@@ -212,7 +217,7 @@ impl BmtBatchProof {
                 let (rh, rf) =
                     Self::verify_node(right, mid + 1, hi, params, position_sets, coverages)?;
                 let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), filter))
+                Ok((internal_hash(&lh, &rh, &filter), Cow::Owned(filter)))
             }
         }
     }

@@ -1,5 +1,7 @@
 //! Merged BMT branch proofs (paper §III-B2, Fig. 4/5/11).
 
+use std::borrow::Cow;
+
 use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
@@ -179,14 +181,14 @@ impl BmtProof {
         Ok(coverage)
     }
 
-    fn verify_node(
-        node: &BmtProofNode,
+    fn verify_node<'a>(
+        node: &'a BmtProofNode,
         lo: u64,
         hi: u64,
         params: BloomParams,
         positions: &[u64],
         coverage: &mut BmtCoverage,
-    ) -> Result<(Hash256, BloomFilter), BmtError> {
+    ) -> Result<(Hash256, Cow<'a, BloomFilter>), BmtError> {
         match node {
             BmtProofNode::CleanLeaf { filter } => {
                 if lo != hi {
@@ -199,7 +201,7 @@ impl BmtProof {
                     return Err(BmtError::NotClean);
                 }
                 coverage.clean_ranges.push((lo, hi));
-                Ok((leaf_hash(filter), filter.clone()))
+                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
             }
             BmtProofNode::CleanNode {
                 filter,
@@ -216,7 +218,10 @@ impl BmtProof {
                     return Err(BmtError::NotClean);
                 }
                 coverage.clean_ranges.push((lo, hi));
-                Ok((internal_hash(left_hash, right_hash, filter), filter.clone()))
+                Ok((
+                    internal_hash(left_hash, right_hash, filter),
+                    Cow::Borrowed(filter),
+                ))
             }
             BmtProofNode::FailedLeaf { filter } => {
                 if lo != hi {
@@ -226,7 +231,7 @@ impl BmtProof {
                 }
                 Self::check_filter(filter, params)?;
                 coverage.failed_leaves.push(lo);
-                Ok((leaf_hash(filter), filter.clone()))
+                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
             }
             BmtProofNode::Branch { left, right } => {
                 if lo == hi {
@@ -239,7 +244,7 @@ impl BmtProof {
                 let (rh, rf) = Self::verify_node(right, mid + 1, hi, params, positions, coverage)?;
                 // Paper Eq. 3: the parent filter is the OR of its children.
                 let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), filter))
+                Ok((internal_hash(&lh, &rh, &filter), Cow::Owned(filter)))
             }
         }
     }
