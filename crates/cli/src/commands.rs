@@ -718,7 +718,7 @@ pub fn fsck(opts: &FsckOptions, out: &mut impl Write) -> Result<(), CliError> {
         // The full-paranoia open: every index node hash, key order,
         // and balance is checked before the index is trusted.
         let (chain, report) = lvq_store::open_chain_indexed_verified(dir, config)?;
-        let info = (chain.tables().tip(), chain.tables().root_hash());
+        let info = (chain.tables().tip(), chain.tables().root_hash()?);
         (Arc::clone(chain.source().store()), report, Some(info))
     } else {
         let (store, report) = lvq_store::BlockStore::open(dir, config)?;

@@ -34,6 +34,30 @@
 //! against the hash committed by the parent link (or the root link for
 //! the first node). A corrupted, truncated, or swapped node therefore
 //! surfaces as [`AvlError::CorruptNode`] — never as a wrong answer.
+//!
+//! # Pending links: hash at commit, not at insert
+//!
+//! An edit rewrites the O(log n) nodes on its path and the next edit
+//! through the same ancestors rewrites them again; only the last
+//! version of each is ever read by hash. So [`AvlTree::insert`] and
+//! [`AvlTree::remove`] hand back *pending* links — key and height, no
+//! hash — and [`AvlTree::commit`] walks them children-first, hashing
+//! every rewritten node exactly once. Rotations look at heights only,
+//! so shape and hashes are the ones eager hashing produced.
+//!
+//! Skipping the hash check on a pending link weakens nothing: it
+//! carries no [`NodeAddr`], so it can only resolve to a node this
+//! process put in the store's write set since the last commit — there
+//! is no earlier hash it could disagree with. Everything a *committed*
+//! link reaches, i.e. every node decoded from storage, is verified as
+//! before, and a committed link over a node with pending children is
+//! [`AvlError::CorruptNode`]. A pending link has no encoding, and
+//! whatever reads a hash ([`AvlTree::root_hash`], [`AvlTree::prove`])
+//! wants the tree committed first. The price: a pending link names its
+//! node by key alone, so the nodes a *failed* edit already put shadow
+//! the versions the tree still links to — after an `Err` from `insert`
+//! or `remove`, drop the uncommitted state (tree handle and write set)
+//! and restart from the last committed root.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -105,28 +129,54 @@ pub fn node_hash(kv: &Hash256, left: (Hash256, u8), right: (Hash256, u8)) -> Has
     ])
 }
 
-/// A reference to a child node: its key (the address in the backing
-/// store), the hash of the node it must decode to, and the height of
-/// the subtree rooted there.
+/// Where a backing store keeps one committed node version: a record
+/// position the store hands out and reads back. Opaque to the tree,
+/// which only carries it from the link that names a node to the
+/// [`AvlNodeStore::get_node`] call that loads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NodeAddr {
+    /// Segment file number.
+    pub segment: u32,
+    /// Byte offset of the record within the segment.
+    pub offset: u64,
+    /// Record payload length in bytes.
+    pub len: u32,
+}
+
+/// A reference to a child node: its key, the hash of the node it must
+/// decode to, the height of the subtree rooted there, and (for stores
+/// that address by position) where that exact version lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvlLink {
-    /// The child node's key — also its address in the node store.
+    /// The child node's key — also its address in the write set.
     pub key: Vec<u8>,
-    /// The child's committed [`node_hash`].
-    pub hash: Hash256,
+    /// The child's committed [`node_hash`]; `None` while the link is
+    /// *pending* (the child was rewritten since the last
+    /// [`AvlTree::commit`]).
+    pub hash: Option<Hash256>,
     /// Height of the subtree rooted at the child (a lone leaf is 1).
     pub height: u8,
+    /// Store address of the committed node, filled in by the store
+    /// that wrote or decoded it and never encoded with the link; `None`
+    /// for a node that (still) lives in the store's write set.
+    pub addr: Option<NodeAddr>,
 }
 
 impl Encodable for AvlLink {
+    /// # Panics
+    ///
+    /// On a pending link: it has no hash to encode, so writing one out
+    /// would forge a commitment.
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.key.encode_into(out);
-        self.hash.encode_into(out);
+        self.hash
+            .expect("a pending link has no encoding: commit the tree first")
+            .encode_into(out);
         self.height.encode_into(out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.key.encoded_len() + self.hash.encoded_len() + 1
+        self.key.encoded_len() + Hash256::ZERO.encoded_len() + 1
     }
 }
 
@@ -134,8 +184,9 @@ impl Decodable for AvlLink {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(AvlLink {
             key: Vec::<u8>::decode_from(reader)?,
-            hash: Hash256::decode_from(reader)?,
+            hash: Some(Hash256::decode_from(reader)?),
             height: u8::decode_from(reader)?,
+            addr: None,
         })
     }
 }
@@ -173,11 +224,17 @@ impl PartialEq for AvlNode {
 
 impl Eq for AvlNode {}
 
-fn link_parts(link: &Option<AvlLink>) -> (Hash256, u8) {
+/// What a parent hashes for this child; `None` while the link is
+/// pending.
+fn link_parts(link: &Option<AvlLink>) -> Option<(Hash256, u8)> {
     match link {
-        Some(l) => (l.hash, l.height),
-        None => (Hash256::ZERO, 0),
+        Some(l) => Some((l.hash?, l.height)),
+        None => Some((Hash256::ZERO, 0)),
     }
+}
+
+fn link_height(link: &Option<AvlLink>) -> u8 {
+    link.as_ref().map_or(0, |l| l.height)
 }
 
 impl AvlNode {
@@ -207,16 +264,12 @@ impl AvlNode {
 
     /// Height of the subtree rooted here (1 for a leaf).
     pub fn height(&self) -> u8 {
-        let (_, lh) = link_parts(&self.left);
-        let (_, rh) = link_parts(&self.right);
-        1 + lh.max(rh)
+        1 + link_height(&self.left).max(link_height(&self.right))
     }
 
     /// AVL balance factor: left height minus right height.
     pub fn balance(&self) -> i16 {
-        let (_, lh) = link_parts(&self.left);
-        let (_, rh) = link_parts(&self.right);
-        lh as i16 - rh as i16
+        link_height(&self.left) as i16 - link_height(&self.right) as i16
     }
 
     /// This node's [`kv_hash`] (memoized per node version).
@@ -227,24 +280,18 @@ impl AvlNode {
     }
 
     /// This node's [`node_hash`] — what the parent link commits to
-    /// (memoized per node version).
-    pub fn node_hash(&self) -> Hash256 {
-        *self.node_memo.get_or_init(|| {
-            node_hash(
-                &self.kv_hash(),
-                link_parts(&self.left),
-                link_parts(&self.right),
-            )
-        })
-    }
-
-    /// The link a parent (or the root record) would hold for this node.
-    pub fn link(&self) -> AvlLink {
-        AvlLink {
-            key: self.key.clone(),
-            hash: self.node_hash(),
-            height: self.height(),
+    /// (memoized per node version); `None` while a child link is
+    /// pending.
+    pub fn node_hash(&self) -> Option<Hash256> {
+        if let Some(hash) = self.node_memo.get() {
+            return Some(*hash);
         }
+        let hash = node_hash(
+            &self.kv_hash(),
+            link_parts(&self.left)?,
+            link_parts(&self.right)?,
+        );
+        Some(*self.node_memo.get_or_init(|| hash))
     }
 
     /// Approximate resident footprint, used to bound node caches.
@@ -283,27 +330,31 @@ impl Decodable for AvlNode {
     }
 }
 
-/// Node storage behind an [`AvlTree`]: a key-value store addressing
-/// nodes *by their tree key*, so one lookup reads one node.
+/// Node storage behind an [`AvlTree`]: a write set addressing the
+/// nodes rewritten since the last commit *by their tree key*, in front
+/// of whatever the store keeps committed versions in. Either way one
+/// lookup reads one node.
 ///
 /// Implementations must return nodes exactly as stored — verification
 /// against the committed hashes happens in the tree layer on every
 /// fetch.
 pub trait AvlNodeStore {
-    /// The node stored under `key`, or `None` if the store has never
-    /// seen it.
+    /// The node `link` names: the version at `link.addr` when the link
+    /// carries one, else the write set's node under `link.key`; `None`
+    /// if the store has no such node.
     ///
     /// # Errors
     ///
     /// Returns [`AvlError::Backend`] if the underlying storage fails.
-    fn get_node(&self, key: &[u8]) -> Result<Option<Arc<AvlNode>>, AvlError>;
+    fn get_node(&self, link: &AvlLink) -> Result<Option<Arc<AvlNode>>, AvlError>;
 
-    /// Stores `node` under `node.key`, replacing any earlier version.
+    /// Puts `node` in the write set under `node.key`, replacing any
+    /// earlier version there.
     ///
     /// # Errors
     ///
     /// Returns [`AvlError::Backend`] if the underlying storage fails.
-    fn put_node(&mut self, node: &AvlNode) -> Result<(), AvlError>;
+    fn put_node(&mut self, node: AvlNode) -> Result<(), AvlError>;
 }
 
 /// An in-memory [`AvlNodeStore`] — the reference backend for tests and
@@ -353,24 +404,25 @@ impl MemoryNodes {
 }
 
 impl AvlNodeStore for MemoryNodes {
-    fn get_node(&self, key: &[u8]) -> Result<Option<Arc<AvlNode>>, AvlError> {
-        Ok(self.nodes.get(key).cloned())
+    fn get_node(&self, link: &AvlLink) -> Result<Option<Arc<AvlNode>>, AvlError> {
+        Ok(self.nodes.get(&link.key).cloned())
     }
 
-    fn put_node(&mut self, node: &AvlNode) -> Result<(), AvlError> {
+    fn put_node(&mut self, node: AvlNode) -> Result<(), AvlError> {
         self.puts += 1;
-        self.nodes.insert(node.key.clone(), Arc::new(node.clone()));
+        self.nodes.insert(node.key.clone(), Arc::new(node));
         Ok(())
     }
 }
 
 /// Fetches the node a link points at and verifies it is byte-for-byte
-/// the node the link committed to (hash *and* height).
+/// the node the link committed to (hash *and* height). A pending link
+/// has no hash to hold its node to and may only name a write-set node.
 pub fn fetch<S: AvlNodeStore + ?Sized>(
     store: &S,
     link: &AvlLink,
 ) -> Result<Arc<AvlNode>, AvlError> {
-    let node = store.get_node(&link.key)?.ok_or(AvlError::CorruptNode {
+    let node = store.get_node(link)?.ok_or(AvlError::CorruptNode {
         detail: "committed node missing from store",
     })?;
     if node.key != link.key {
@@ -383,12 +435,15 @@ pub fn fetch<S: AvlNodeStore + ?Sized>(
             detail: "subtree height disagrees with parent link",
         });
     }
-    if node.node_hash() != link.hash {
-        return Err(AvlError::CorruptNode {
+    match link.hash {
+        Some(hash) if node.node_hash() != Some(hash) => Err(AvlError::CorruptNode {
             detail: "node hash disagrees with parent link",
-        });
+        }),
+        None if link.addr.is_some() => Err(AvlError::CorruptNode {
+            detail: "pending link names a stored node version",
+        }),
+        _ => Ok(node),
     }
-    Ok(node)
 }
 
 /// One ancestor on a proof path, root-first.
@@ -480,8 +535,47 @@ impl AvlTree {
 
     /// The root hash — [`Hash256::ZERO`] for an empty tree. This is the
     /// single value a root record must checksum to pin the whole index.
+    ///
+    /// # Panics
+    ///
+    /// If the tree was edited since its last [`AvlTree::commit`]: the
+    /// hash of the current contents has not been computed.
     pub fn root_hash(&self) -> Hash256 {
-        self.root.as_ref().map_or(Hash256::ZERO, |l| l.hash)
+        self.root.as_ref().map_or(Hash256::ZERO, |l| {
+            l.hash
+                .expect("commit the tree before reading its root hash")
+        })
+    }
+
+    /// Hashes every node rewritten since the last commit — each exactly
+    /// once, children before parents — and fills the hashes into the
+    /// pending links above them, the root link last. Returns the number
+    /// of nodes hashed. Touches only the store's write set.
+    ///
+    /// # Errors
+    ///
+    /// [`AvlError::CorruptNode`] if a pending link does not resolve in
+    /// the write set, or a store error.
+    pub fn commit<S: AvlNodeStore + ?Sized>(&mut self, store: &mut S) -> Result<u64, AvlError> {
+        fn commit_link<S: AvlNodeStore + ?Sized>(
+            store: &mut S,
+            link: &mut AvlLink,
+        ) -> Result<u64, AvlError> {
+            if link.hash.is_some() {
+                return Ok(0);
+            }
+            let mut node = (*fetch(store, link)?).clone();
+            let mut hashed = 1;
+            for child in [&mut node.left, &mut node.right].into_iter().flatten() {
+                hashed += commit_link(store, child)?;
+            }
+            link.hash = Some(node.node_hash().expect("children just committed"));
+            store.put_node(node)?;
+            Ok(hashed)
+        }
+        self.root
+            .as_mut()
+            .map_or(Ok(0), |root| commit_link(store, root))
     }
 
     /// `true` if the tree holds no entries.
@@ -604,12 +698,18 @@ impl AvlTree {
     /// # Errors
     ///
     /// [`AvlError::CorruptNode`] if the key is absent (this tree only
-    /// proves membership) or any node on the path fails verification.
+    /// proves membership), any node on the path fails verification, or
+    /// the path holds a pending link ([`AvlTree::commit`] first).
     pub fn prove<S: AvlNodeStore + ?Sized>(
         &self,
         store: &S,
         key: &[u8],
     ) -> Result<AvlProof, AvlError> {
+        let committed = |link: &Option<AvlLink>| {
+            link_parts(link).ok_or(AvlError::CorruptNode {
+                detail: "pending link on a proof path",
+            })
+        };
         let mut path = Vec::new();
         let mut link = self.root.clone();
         while let Some(l) = link {
@@ -619,28 +719,28 @@ impl AvlTree {
                     return Ok(AvlProof {
                         key: node.key.clone(),
                         value: node.value.clone(),
-                        left: link_parts(&node.left),
-                        right: link_parts(&node.right),
+                        left: committed(&node.left)?,
+                        right: committed(&node.right)?,
                         path,
                     });
                 }
                 Ordering::Less => {
-                    let other = link_parts(&node.right);
+                    let other = committed(&node.right)?;
                     path.push(AvlProofStep {
                         kv_hash: node.kv_hash(),
                         descend_left: true,
-                        path_height: link_parts(&node.left).1,
+                        path_height: link_height(&node.left),
                         other_hash: other.0,
                         other_height: other.1,
                     });
                     link = node.left.clone();
                 }
                 Ordering::Greater => {
-                    let other = link_parts(&node.left);
+                    let other = committed(&node.left)?;
                     path.push(AvlProofStep {
                         kv_hash: node.kv_hash(),
                         descend_left: false,
-                        path_height: link_parts(&node.right).1,
+                        path_height: link_height(&node.right),
                         other_hash: other.0,
                         other_height: other.1,
                     });
@@ -699,6 +799,19 @@ impl AvlTree {
     }
 }
 
+/// Puts a rewritten node in the write set and hands back the pending
+/// link to it: nothing is hashed until [`AvlTree::commit`].
+fn pending<S: AvlNodeStore + ?Sized>(store: &mut S, node: AvlNode) -> Result<AvlLink, AvlError> {
+    let link = AvlLink {
+        key: node.key.clone(),
+        hash: None,
+        height: node.height(),
+        addr: None,
+    };
+    store.put_node(node)?;
+    Ok(link)
+}
+
 fn insert_at<S: AvlNodeStore + ?Sized>(
     store: &mut S,
     link: Option<&AvlLink>,
@@ -706,19 +819,14 @@ fn insert_at<S: AvlNodeStore + ?Sized>(
     value: &[u8],
 ) -> Result<AvlLink, AvlError> {
     let Some(link) = link else {
-        let node = AvlNode::leaf(key.to_vec(), value.to_vec());
-        let link = node.link();
-        store.put_node(&node)?;
-        return Ok(link);
+        return pending(store, AvlNode::leaf(key.to_vec(), value.to_vec()));
     };
     let mut node = (*fetch(store, link)?).clone();
     match key.cmp(node.key.as_slice()) {
         Ordering::Equal => {
             node.value = value.to_vec();
             node.invalidate();
-            let link = node.link();
-            store.put_node(&node)?;
-            return Ok(link);
+            return pending(store, node);
         }
         Ordering::Less => {
             let child = insert_at(store, node.left.as_ref(), key, value)?;
@@ -732,9 +840,7 @@ fn insert_at<S: AvlNodeStore + ?Sized>(
         }
     }
     let node = rebalance(store, node)?;
-    let link = node.link();
-    store.put_node(&node)?;
-    Ok(link)
+    pending(store, node)
 }
 
 fn remove_at<S: AvlNodeStore + ?Sized>(
@@ -764,9 +870,7 @@ fn remove_at<S: AvlNodeStore + ?Sized>(
                 }
             };
             let replacement = rebalance(store, replacement)?;
-            let new_link = replacement.link();
-            store.put_node(&replacement)?;
-            Ok((Some(new_link), true))
+            Ok((Some(pending(store, replacement)?), true))
         }
         Ordering::Less => {
             let (child, removed) = remove_at(store, node.left.as_ref(), key)?;
@@ -776,9 +880,7 @@ fn remove_at<S: AvlNodeStore + ?Sized>(
             node.left = child;
             node.invalidate_links();
             let node = rebalance(store, node)?;
-            let new_link = node.link();
-            store.put_node(&node)?;
-            Ok((Some(new_link), true))
+            Ok((Some(pending(store, node)?), true))
         }
         Ordering::Greater => {
             let (child, removed) = remove_at(store, node.right.as_ref(), key)?;
@@ -788,9 +890,7 @@ fn remove_at<S: AvlNodeStore + ?Sized>(
             node.right = child;
             node.invalidate_links();
             let node = rebalance(store, node)?;
-            let new_link = node.link();
-            store.put_node(&node)?;
-            Ok((Some(new_link), true))
+            Ok((Some(pending(store, node)?), true))
         }
     }
 }
@@ -810,9 +910,7 @@ fn take_min<S: AvlNodeStore + ?Sized>(
     node.left = new_left;
     node.invalidate_links();
     let node = rebalance(store, node)?;
-    let new_link = node.link();
-    store.put_node(&node)?;
-    Ok((min, Some(new_link)))
+    Ok((min, Some(pending(store, node)?)))
 }
 
 /// Restores the AVL invariant at `node` after a child height changed,
@@ -865,9 +963,7 @@ fn rotate_right<S: AvlNodeStore + ?Sized>(
 ) -> Result<AvlNode, AvlError> {
     y.left = x.right.take();
     y.invalidate_links();
-    let y_link = y.link();
-    store.put_node(&y)?;
-    x.right = Some(y_link);
+    x.right = Some(pending(store, y)?);
     x.invalidate_links();
     Ok(x)
 }
@@ -882,9 +978,7 @@ fn rotate_left<S: AvlNodeStore + ?Sized>(
 ) -> Result<AvlNode, AvlError> {
     y.right = x.left.take();
     y.invalidate_links();
-    let y_link = y.link();
-    store.put_node(&y)?;
-    x.left = Some(y_link);
+    x.left = Some(pending(store, y)?);
     x.invalidate_links();
     Ok(x)
 }
@@ -897,6 +991,7 @@ mod tests {
         i.to_be_bytes().to_vec()
     }
 
+    /// Inserts `keys` in order and commits once at the end.
     fn build(keys: impl IntoIterator<Item = u64>) -> (AvlTree, MemoryNodes) {
         let mut store = MemoryNodes::new();
         let mut tree = AvlTree::new();
@@ -904,7 +999,21 @@ mod tests {
             tree.insert(&mut store, &key(i), &(i * 10).to_le_bytes())
                 .unwrap();
         }
+        tree.commit(&mut store).unwrap();
         (tree, store)
+    }
+
+    /// Uncommitted nodes reachable from `link`, counted without
+    /// `commit`: below a committed link everything is committed.
+    fn pending_nodes(store: &MemoryNodes, link: Option<&AvlLink>) -> u64 {
+        match link {
+            Some(link) if link.hash.is_none() => {
+                let node = store.get_node(link).unwrap().expect("in the write set");
+                1 + pending_nodes(store, node.left.as_ref())
+                    + pending_nodes(store, node.right.as_ref())
+            }
+            _ => 0,
+        }
     }
 
     #[test]
@@ -965,6 +1074,7 @@ mod tests {
         let (mut tree, mut store) = build([1, 2, 3]);
         let before = tree.root_hash();
         tree.insert(&mut store, &key(2), b"new value").unwrap();
+        tree.commit(&mut store).unwrap();
         assert_ne!(tree.root_hash(), before);
         assert_eq!(
             tree.get(&store, &key(2)).unwrap().unwrap().value,
@@ -1010,6 +1120,7 @@ mod tests {
             assert!(tree.remove(&mut store, &key(i)).unwrap());
         }
         assert!(tree.is_empty());
+        assert_eq!(tree.commit(&mut store).unwrap(), 0);
         assert_eq!(tree.root_hash(), Hash256::ZERO);
         // The emptied tree accepts inserts again and verifies clean.
         tree.insert(&mut store, &key(7), b"back").unwrap();
@@ -1112,8 +1223,9 @@ mod tests {
             } else {
                 node.left = Some(AvlLink {
                     key: key(10),
-                    hash: Hash256::ZERO,
+                    hash: Some(Hash256::ZERO),
                     height: 9,
+                    addr: None,
                 });
             }
         }));
@@ -1125,11 +1237,9 @@ mod tests {
         let (tree, store) = build(0..8);
         let mut broken = MemoryNodes::new();
         // Copy all but the root's target into a fresh store.
-        for i in 0..8u64 {
-            if let Some(node) = store.get_node(&key(i)).unwrap() {
-                if i != 3 {
-                    broken.put_node(&node).unwrap();
-                }
+        for (k, node) in &store.nodes {
+            if *k != key(3) {
+                broken.put_node((**node).clone()).unwrap();
             }
         }
         assert!(matches!(
@@ -1146,6 +1256,125 @@ mod tests {
         assert_eq!(bytes.len(), root.encoded_len());
         let decoded: AvlNode = lvq_codec::decode_exact(&bytes).unwrap();
         assert_eq!(decoded, *root);
-        assert_eq!(decoded.node_hash(), tree.root_hash());
+        assert_eq!(decoded.node_hash(), Some(tree.root_hash()));
+    }
+
+    /// `store` as a reader that memoized nothing finds it: every
+    /// committed node re-decoded from its bytes. (Leftovers of removed
+    /// keys may still hold pending links; nothing links to them.)
+    fn cold(store: &MemoryNodes) -> MemoryNodes {
+        let mut cold = MemoryNodes::new();
+        for node in store.nodes.values().filter(|n| n.node_hash().is_some()) {
+            let decoded: AvlNode = lvq_codec::decode_exact(&node.encode()).unwrap();
+            cold.put_node(decoded).unwrap();
+        }
+        cold
+    }
+
+    #[test]
+    fn commit_hashes_each_rewritten_node_exactly_once() {
+        // The same edits, committed once at the end (`lazy`) and after
+        // every single operation (`eager`, what hashing at insert did).
+        let mut lazy = (AvlTree::new(), MemoryNodes::new());
+        let mut eager = (AvlTree::new(), MemoryNodes::new());
+        let mut eager_hashed = 0;
+        let mut edit = |op: &dyn Fn(&mut AvlTree, &mut MemoryNodes)| {
+            op(&mut lazy.0, &mut lazy.1);
+            op(&mut eager.0, &mut eager.1);
+            eager_hashed += eager.0.commit(&mut eager.1).unwrap();
+            // Edits over committed nodes must drop every memo they
+            // outdate: the hashes hold for a cold reader at each step.
+            eager.0.verify_walk(&cold(&eager.1)).unwrap();
+        };
+        for i in (0..200u64).map(|i| i * 37 % 211) {
+            edit(&|tree, store| tree.insert(store, &key(i), &i.to_le_bytes()).unwrap());
+        }
+        for i in (0..120u64).map(|i| i * 53 % 211) {
+            // Some of these keys were never inserted: misses count too.
+            edit(&|tree, store| {
+                tree.remove(store, &key(i)).unwrap();
+            });
+        }
+        let (mut tree, mut store) = lazy;
+
+        let expected = pending_nodes(&store, tree.root());
+        let puts_before = store.puts();
+        assert_eq!(tree.commit(&mut store).unwrap(), expected);
+        assert_eq!(store.puts() - puts_before, expected, "one put per hash");
+        assert_eq!(pending_nodes(&store, tree.root()), 0);
+        // Every surviving key was rewritten, none more than once now.
+        assert_eq!(expected, tree.verify_walk(&cold(&store)).unwrap());
+        assert!(eager_hashed > 8 * expected, "eager = {eager_hashed}");
+
+        // Nothing left to hash, nothing written.
+        assert_eq!(tree.commit(&mut store).unwrap(), 0);
+        assert_eq!(store.puts() - puts_before, expected);
+
+        // Deferring changed neither the shape nor a single hash.
+        assert_eq!(tree.root(), eager.0.root());
+        assert_eq!(tree.root_hash(), eager.0.root_hash());
+
+        // After a commit only the next edit's path is pending again.
+        tree.insert(&mut store, &key(1000), b"one more").unwrap();
+        let path = pending_nodes(&store, tree.root());
+        assert!((1..=12).contains(&path), "path = {path}");
+        assert_eq!(tree.commit(&mut store).unwrap(), path);
+    }
+
+    #[test]
+    fn pending_links_read_back_unhashed_but_prove_nothing() {
+        let (mut tree, mut store) = build(0..32);
+        tree.insert(&mut store, &key(40), b"fresh").unwrap();
+        assert!(tree.root().unwrap().hash.is_none());
+        // Reads and the structural walk follow pending links…
+        assert_eq!(tree.get(&store, &key(40)).unwrap().unwrap().value, b"fresh");
+        assert_eq!(tree.verify_walk(&store).unwrap(), 33);
+        // …but nothing that needs a hash works before the commit.
+        assert!(matches!(
+            tree.prove(&store, &key(40)),
+            Err(AvlError::CorruptNode { .. })
+        ));
+        tree.commit(&mut store).unwrap();
+        let proof = tree.prove(&store, &key(40)).unwrap();
+        assert!(proof.verify(tree.root_hash(), &key(40), b"fresh"));
+    }
+
+    #[test]
+    #[should_panic(expected = "pending link has no encoding")]
+    fn pending_links_cannot_be_encoded() {
+        let mut store = MemoryNodes::new();
+        let mut tree = AvlTree::new();
+        tree.insert(&mut store, &key(1), b"v").unwrap();
+        tree.root().unwrap().encode();
+    }
+
+    #[test]
+    fn pending_state_behind_a_committed_link_is_corruption() {
+        // A committed link vouches for a fully hashed subtree: a node
+        // below it that claims pending children is a forgery, however
+        // the rest of it looks.
+        let (tree, mut store) = build(0..32);
+        let root_key = tree.root().unwrap().key.clone();
+        assert!(store.tamper(&root_key, |node| {
+            node.left.as_mut().unwrap().hash = None;
+        }));
+        assert!(matches!(
+            tree.verify_walk(&store),
+            Err(AvlError::CorruptNode { .. })
+        ));
+        // And a pending link may never point into committed storage,
+        // where nothing would check what it loads.
+        let (tree, store) = build(0..4);
+        let mut forged = tree.root().unwrap().clone();
+        forged.hash = None;
+        forged.addr = Some(NodeAddr {
+            segment: 0,
+            offset: 12,
+            len: 64,
+        });
+        assert!(matches!(
+            fetch(&store, &forged),
+            Err(AvlError::CorruptNode { .. })
+        ));
     }
 }

@@ -39,6 +39,7 @@ pub mod smt;
 
 pub use avl::{
     AvlError, AvlLink, AvlNode, AvlNodeStore, AvlProof, AvlProofStep, AvlTree, MemoryNodes,
+    NodeAddr,
 };
 pub use bmt::{
     Bmt, BmtBatchProof, BmtBatchProofStats, BmtBuilder, BmtCoverage, BmtError, BmtProof,

@@ -33,12 +33,16 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), NodeEr
         len: payload.len() as u64,
         max: u64::from(u32::MAX),
     })?;
+    // One write, so a small frame reaches the peer whole: a sender
+    // that loses its core between a header write and a payload write
+    // looks, to a server's partial-frame timeout, like a peer that went
+    // silent mid-frame.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
     writer
-        .write_all(&len.to_le_bytes())
-        .map_err(|e| io_error("write frame header", &e))?;
-    writer
-        .write_all(payload)
-        .map_err(|e| io_error("write frame payload", &e))?;
+        .write_all(&frame)
+        .map_err(|e| io_error("write frame", &e))?;
     writer.flush().map_err(|e| io_error("flush frame", &e))?;
     Ok(())
 }

@@ -76,6 +76,16 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// TCP backpressure instead of unbounded memory for flooding peers.
 const READ_PAUSE_BUFFER: usize = 1 << 20;
 
+/// Slowest drain an honest reader is held to. A connection may go
+/// without write progress for `write_timeout` plus the time the
+/// replies queued on it would take at this rate: a client sharing two
+/// cores with a dozen others sits out a multi-MB reply for longer than
+/// any constant that still drops a dead peer of a small one promptly.
+/// Whole replies count, written part included — measured at paper
+/// scale, such a client stalls as long with the last megabyte of a
+/// reply outstanding as with the first.
+const MIN_DRAIN_BYTES_PER_SEC: u64 = 4 << 20;
+
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 const TOKEN_BASE: usize = 2;
@@ -127,8 +137,9 @@ pub struct ServerConfig {
     /// out — holding many idle light clients is the point.
     pub read_timeout: Duration,
     /// Stall limit for a peer that stops draining its responses; a
-    /// connection whose write queue makes no progress for this long is
-    /// dropped.
+    /// connection whose write queue makes no progress for this long —
+    /// plus the time the replies queued on it would take at a fixed
+    /// floor rate of 4 MiB/s — is dropped.
     pub write_timeout: Duration,
     /// Largest request frame accepted; oversized announcements close
     /// the connection without allocating.
@@ -615,6 +626,13 @@ impl Conn {
     /// strictly one request at a time.
     fn parse_gated(&self) -> bool {
         matches!(self.mode, Mode::V1) && (self.dispatched > 0 || !self.out.is_empty())
+    }
+
+    /// How long the replies queued for this peer would take at
+    /// [`MIN_DRAIN_BYTES_PER_SEC`].
+    fn drain_allowance(&self) -> Duration {
+        let queued = self.out.iter().map(Vec::len).sum::<usize>() as u64;
+        Duration::from_micros(queued.saturating_mul(1_000_000) / MIN_DRAIN_BYTES_PER_SEC)
     }
 
     /// The interest this connection currently wants: readable unless
@@ -1441,8 +1459,11 @@ impl<P: ServeNode> EventLoop<P> {
                 let conn = slot.as_ref()?;
                 let mid_frame = !conn.read_buf.is_empty() && !conn.parse_gated();
                 let read_stall = mid_frame && now.duration_since(conn.read_progress) > read_limit;
-                let write_stall =
-                    !conn.out.is_empty() && now.duration_since(conn.write_progress) > write_limit;
+                // (The queue is only measured once the base limit passed.)
+                let silent = now.duration_since(conn.write_progress);
+                let write_stall = !conn.out.is_empty()
+                    && silent > write_limit
+                    && silent > write_limit + conn.drain_allowance();
                 (read_stall || write_stall).then_some(i)
             })
             .collect();

@@ -67,10 +67,22 @@ pub(crate) fn segment_header(
 /// Frames `payload` as one record: `len | crc32 | payload`.
 pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
     let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&crc32(payload).to_le_bytes());
-    record.extend_from_slice(payload);
+    frame_record_with(&mut record, |out| out.extend_from_slice(payload));
     record
+}
+
+/// Appends one framed record to `out`, its payload written in place by
+/// `encode`; returns the payload length.
+pub(crate) fn frame_record_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> u32 {
+    let start = out.len();
+    let payload = start + RECORD_HEADER_LEN as usize;
+    out.resize(payload, 0);
+    encode(out);
+    let len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    len
 }
 
 /// Positional read of `buf.len()` bytes at `offset`.

@@ -21,10 +21,12 @@
 //!
 //! Node records reuse the block store's framing
 //! ([`crate::frame`]): `len u32 | crc32 u32 | payload`. Each payload is
-//! one [`AvlNode`] plus the log locations of its children, so a
-//! descent needs no in-memory directory — resident memory is the
-//! bounded node cache plus the not-yet-anchored write set, independent
-//! of chain length.
+//! one [`AvlNode`] plus the log locations of its children, which
+//! decoding copies into the node's child links ([`AvlLink::addr`]): a
+//! link is followed with one read through the node cache and a descent
+//! needs no in-memory directory — resident memory is the bounded node
+//! cache plus the not-yet-anchored write set, independent of chain
+//! length. A link without a location names a write-set node, by key.
 //!
 //! # Keyspace
 //!
@@ -43,39 +45,48 @@
 //!
 //! # Durability and the root-anchoring rule
 //!
-//! Inserts accumulate in memory (the *dirty* set); [`TableSource::sync`]
-//! writes dirty nodes to the log children-first, fsyncs the log, and
-//! only then rewrites the checksummed root record (atomic
-//! temp-file-and-rename). The root therefore only ever references
-//! durable nodes. The record carries the anchored *tip height*: a root
-//! that disagrees with the store tip is [`StoreError::StaleIndexRoot`]
-//! — behind means catch up from the (CRC-verified) blocks, ahead means
-//! the index references blocks the store lost and must be rebuilt.
+//! Inserts accumulate in memory, unhashed (the *write set*, behind
+//! pending links — see [`lvq_merkle::avl`]). [`TableSource::sync`] pays
+//! for an anchor once per rewritten node: it hashes the write set
+//! children-first, frames the records into one buffer at the offsets
+//! they will have in the log, hands it to the filesystem at most
+//! [`WRITE_CHUNK_BYTES`] at a time, fsyncs the log, and only then
+//! rewrites the checksummed root record (atomic temp-file-and-rename).
+//! The root therefore only ever references durable nodes. In memory a
+//! sync is all-or-nothing: written nodes leave the write set for the
+//! node cache only once the root record is in place, so after a failed
+//! sync the index still answers from the write set and a retry writes
+//! everything again. The record carries the anchored *tip height*: a
+//! root that disagrees with the store tip is
+//! [`StoreError::StaleIndexRoot`] — behind means catch up from the
+//! (CRC-verified) blocks, ahead means the index references blocks the
+//! store lost and must be rebuilt.
 //!
-//! Every node fetched during a read is re-hashed and verified against
-//! the link that committed it ([`lvq_merkle::avl::fetch`]), so a
-//! corrupted node, a torn log, or a swapped record surfaces as a loud
-//! error — never as a wrong answer.
+//! Every node read from the log is re-hashed and verified against the
+//! link that committed it ([`lvq_merkle::avl::fetch`]), so a corrupted
+//! node, a torn log, or a swapped record surfaces as a loud error —
+//! never as a wrong answer.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use lvq_chain::{Address, BlockHeader, CacheStats, ChainError, TableSource, TableUpdate};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
-use lvq_merkle::avl::{AvlError, AvlLink, AvlNode, AvlNodeStore, AvlProof, AvlTree};
+use lvq_merkle::avl::{
+    fetch, AvlError, AvlLink, AvlNode, AvlNodeStore, AvlProof, AvlTree, NodeAddr,
+};
 
 use crate::cache::LruCache;
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::frame::{
-    frame_record, read_exact_at, read_record_payload, segment_header, FrameError, RecordLoc,
+    frame_record_with, read_exact_at, read_record_payload, segment_header, FrameError, RecordLoc,
     SegmentHandle, SEGMENT_HEADER_LEN,
 };
 use crate::fsio::{RealFs, StoreFs};
@@ -85,6 +96,8 @@ const ROOT_MAGIC: [u8; 4] = *b"LVQR";
 const VERSION: u32 = 1;
 const ROOT_FILE: &str = "root.idx";
 const ROOT_TMP_FILE: &str = "root.idx.tmp";
+/// Most bytes a flush hands to one [`StoreFs::write_all`].
+const WRITE_CHUNK_BYTES: usize = 1 << 20;
 
 const KEY_ADDR: u8 = b'a';
 const KEY_HEADER: u8 = b'h';
@@ -146,10 +159,10 @@ fn decode_error(detail: &'static str) -> impl FnOnce(DecodeError) -> AvlError {
     move |_| AvlError::CorruptNode { detail }
 }
 
-/// [`RecordLoc`] behind the codec traits, for node records and the
+/// [`NodeAddr`] behind the codec traits, for node records and the
 /// root record.
 #[derive(Debug, Clone, Copy)]
-struct LocCodec(RecordLoc);
+struct LocCodec(NodeAddr);
 
 impl Encodable for LocCodec {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -165,7 +178,7 @@ impl Encodable for LocCodec {
 
 impl Decodable for LocCodec {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(LocCodec(RecordLoc {
+        Ok(LocCodec(NodeAddr {
             segment: u32::decode_from(reader)?,
             offset: u64::decode_from(reader)?,
             len: u32::decode_from(reader)?,
@@ -173,50 +186,42 @@ impl Decodable for LocCodec {
     }
 }
 
-/// One node as it sits in the log: the tree node plus the locations of
-/// its children, which is what makes descents pure point reads.
-#[derive(Debug, Clone)]
-struct StoredNode {
-    node: Arc<AvlNode>,
-    left_loc: Option<RecordLoc>,
-    right_loc: Option<RecordLoc>,
-}
-
+/// One node as it sits in the log: the tree node, then the locations
+/// of its children, which is what makes descents pure point reads.
 fn encode_stored(
+    out: &mut Vec<u8>,
     node: &AvlNode,
-    left_loc: Option<RecordLoc>,
-    right_loc: Option<RecordLoc>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(node.encoded_len() + 34);
-    node.encode_into(&mut out);
-    left_loc.map(LocCodec).encode_into(&mut out);
-    right_loc.map(LocCodec).encode_into(&mut out);
-    out
+    left: Option<NodeAddr>,
+    right: Option<NodeAddr>,
+) {
+    node.encode_into(out);
+    left.map(LocCodec).encode_into(out);
+    right.map(LocCodec).encode_into(out);
 }
 
-fn decode_stored(payload: &[u8]) -> Result<StoredNode, AvlError> {
+/// Decodes one log record into a node whose child links carry the
+/// locations the record stores for them.
+fn decode_stored(payload: &[u8]) -> Result<AvlNode, AvlError> {
     let mut reader = Reader::new(payload);
-    let node =
+    let mut node =
         AvlNode::decode_from(&mut reader).map_err(decode_error("node record does not decode"))?;
-    let left_loc = Option::<LocCodec>::decode_from(&mut reader)
-        .map_err(decode_error("node record does not decode"))?
-        .map(|l| l.0);
-    let right_loc = Option::<LocCodec>::decode_from(&mut reader)
-        .map_err(decode_error("node record does not decode"))?
-        .map(|l| l.0);
+    for link in [&mut node.left, &mut node.right] {
+        let addr = Option::<LocCodec>::decode_from(&mut reader)
+            .map_err(decode_error("node record does not decode"))?;
+        match (link, addr) {
+            (Some(link), Some(addr)) => link.addr = Some(addr.0),
+            (None, None) => {}
+            _ => {
+                return Err(AvlError::CorruptNode {
+                    detail: "child links and child locations disagree",
+                })
+            }
+        }
+    }
     reader
         .finish()
         .map_err(decode_error("node record has trailing bytes"))?;
-    if node.left.is_some() != left_loc.is_some() || node.right.is_some() != right_loc.is_some() {
-        return Err(AvlError::CorruptNode {
-            detail: "child links and child locations disagree",
-        });
-    }
-    Ok(StoredNode {
-        node: Arc::new(node),
-        left_loc,
-        right_loc,
-    })
+    Ok(node)
 }
 
 fn node_file_name(segment: u32) -> String {
@@ -332,22 +337,6 @@ impl NodeLog {
         })
     }
 
-    fn append(&self, payload: &[u8]) -> Result<RecordLoc, StoreError> {
-        let record = frame_record(payload);
-        let mut writer = self.writer.lock();
-        if writer.offset >= self.target_bytes && writer.offset > SEGMENT_HEADER_LEN {
-            self.rotate(&mut writer)?;
-        }
-        self.fs.write_all(&writer.file, &record)?;
-        let loc = RecordLoc {
-            segment: writer.segment,
-            offset: writer.offset,
-            len: payload.len() as u32,
-        };
-        writer.offset += record.len() as u64;
-        Ok(loc)
-    }
-
     fn rotate(&self, writer: &mut LogWriter) -> Result<(), StoreError> {
         self.fs.sync(&writer.file)?;
         let next = writer.segment + 1;
@@ -370,7 +359,12 @@ impl NodeLog {
         Ok(())
     }
 
-    fn read(&self, loc: RecordLoc) -> Result<Vec<u8>, AvlError> {
+    fn read(&self, addr: NodeAddr) -> Result<Vec<u8>, AvlError> {
+        let loc = RecordLoc {
+            segment: addr.segment,
+            offset: addr.offset,
+            len: addr.len,
+        };
         let handle = {
             let segments = self.segments.read();
             let Some(handle) = segments.get(loc.segment as usize) else {
@@ -393,11 +387,6 @@ impl NodeLog {
         })
     }
 
-    fn sync(&self) -> Result<(), StoreError> {
-        self.fs.sync(&self.writer.lock().file)?;
-        Ok(())
-    }
-
     fn data_bytes(&self) -> u64 {
         self.segments
             .read()
@@ -408,145 +397,134 @@ impl NodeLog {
     }
 }
 
-type NodeCache = Mutex<LruCache<RecordLoc, StoredNode>>;
+/// One flush's appends to the node log: records are framed into
+/// `buf` at the locations they will have on disk — `writer.offset`
+/// counts what the file holds, `buf` what comes after it — and reach
+/// the file in whole [`WRITE_CHUNK_BYTES`] slices, a last partial one
+/// at a segment rotation and in [`LogBatch::finish`]. Dropping a batch
+/// unfinished loses nothing an anchor references: whatever already
+/// reached the file is unreferenced tail.
+struct LogBatch<'a> {
+    log: &'a NodeLog,
+    writer: MutexGuard<'a, LogWriter>,
+    buf: Vec<u8>,
+}
 
-/// Per-operation key → log-location memo. The tree layer descends by
-/// key; without a directory, each fetch would walk the anchored tree
-/// from the root — O(log²n) loads per point read. The memo records the
-/// location of every node (and its children) seen during one
-/// operation, so consecutive parent→child fetches resolve in O(1) and
-/// a point read costs O(log n) loads total. It lives only as long as
-/// one reader (one `table`/`presence`/scan/`push` call under the inner
-/// lock, during which the anchor cannot move), so it is bounded and
-/// never stale.
-type LocMemo = RefCell<HashMap<Vec<u8>, RecordLoc>>;
-
-/// Locations the memo holds at most — roughly one root-to-leaf path
-/// plus scan frontier; cleared wholesale when exceeded.
-const MEMO_CAP: usize = 4096;
-
-/// Records a loaded node's own location and its children's.
-fn remember_stored(memo: &LocMemo, stored: &StoredNode, loc: RecordLoc) {
-    let mut memo = memo.borrow_mut();
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
+impl LogBatch<'_> {
+    /// Frames `node`'s record and returns where it will live.
+    fn push(
+        &mut self,
+        node: &AvlNode,
+        left: Option<NodeAddr>,
+        right: Option<NodeAddr>,
+    ) -> Result<NodeAddr, StoreError> {
+        let mut offset = self.writer.offset + self.buf.len() as u64;
+        if offset >= self.log.target_bytes && offset > SEGMENT_HEADER_LEN {
+            self.write_out(1)?;
+            self.log.rotate(&mut self.writer)?;
+            offset = self.writer.offset;
+        }
+        let len = frame_record_with(&mut self.buf, |out| encode_stored(out, node, left, right));
+        self.write_out(WRITE_CHUNK_BYTES)?;
+        Ok(NodeAddr {
+            segment: self.writer.segment,
+            offset,
+            len,
+        })
     }
-    memo.insert(stored.node.key.clone(), loc);
-    if let (Some(link), Some(child)) = (&stored.node.left, stored.left_loc) {
-        memo.insert(link.key.clone(), child);
+
+    /// Writes the front of the buffer out, a chunk at a time, while it
+    /// holds at least `at_least` bytes.
+    fn write_out(&mut self, at_least: usize) -> Result<(), StoreError> {
+        let mut written = 0;
+        while self.buf.len() - written >= at_least {
+            let chunk = &self.buf[written..self.buf.len().min(written + WRITE_CHUNK_BYTES)];
+            if let Err(e) = self.log.fs.write_all(&self.writer.file, chunk) {
+                // A failed write may have left a torn prefix behind:
+                // whatever is appended next has to start after it.
+                if let Ok(end) = (&self.writer.file).seek(SeekFrom::End(0)) {
+                    self.writer.offset = end;
+                }
+                return Err(e.into());
+            }
+            written += chunk.len();
+            self.writer.offset += chunk.len() as u64;
+        }
+        self.buf.drain(..written);
+        Ok(())
     }
-    if let (Some(link), Some(child)) = (&stored.node.right, stored.right_loc) {
-        memo.insert(link.key.clone(), child);
+
+    /// Writes what is still buffered and fsyncs the log.
+    fn finish(mut self) -> Result<(), StoreError> {
+        self.write_out(1)?;
+        self.log.fs.sync(&self.writer.file)?;
+        Ok(())
     }
 }
 
-/// Reads the record at `loc` through the location-keyed node cache.
-fn load_stored(log: &NodeLog, cache: &NodeCache, loc: RecordLoc) -> Result<StoredNode, AvlError> {
-    if let Some(hit) = cache.lock().get(&loc) {
+type NodeCache = Mutex<LruCache<NodeAddr, Arc<AvlNode>>>;
+
+/// Reads the record at `addr` through the location-keyed node cache.
+fn load_node(log: &NodeLog, cache: &NodeCache, addr: NodeAddr) -> Result<Arc<AvlNode>, AvlError> {
+    if let Some(hit) = cache.lock().get(&addr) {
         return Ok(hit);
     }
-    let payload = log.read(loc)?;
-    let stored = decode_stored(&payload)?;
-    cache.lock().put(loc, stored.clone(), payload.len() + 96);
-    Ok(stored)
+    let payload = log.read(addr)?;
+    let node = Arc::new(decode_stored(&payload)?);
+    cache.lock().put(addr, node.clone(), payload.len() + 96);
+    Ok(node)
 }
 
-/// BST descent by key through the *anchored* (on-disk) tree, following
-/// stored child locations. Returns the node and where it lives, or
-/// `None` if the anchored tree has no such key. Verification against
-/// committed hashes happens in the tree layer on top of this.
-fn walk_anchor(
-    log: &NodeLog,
-    cache: &NodeCache,
-    anchor: Option<RecordLoc>,
-    key: &[u8],
-    memo: &LocMemo,
-) -> Result<Option<(StoredNode, RecordLoc)>, AvlError> {
-    let memo_hit = memo.borrow().get(key).copied();
-    if let Some(loc) = memo_hit {
-        let stored = load_stored(log, cache, loc)?;
-        remember_stored(memo, &stored, loc);
-        return Ok(Some((stored, loc)));
-    }
-    let Some(mut loc) = anchor else {
-        return Ok(None);
-    };
-    loop {
-        let stored = load_stored(log, cache, loc)?;
-        remember_stored(memo, &stored, loc);
-        match key.cmp(stored.node.key.as_slice()) {
-            std::cmp::Ordering::Equal => return Ok(Some((stored, loc))),
-            std::cmp::Ordering::Less => match stored.left_loc {
-                Some(next) => loc = next,
-                None => return Ok(None),
-            },
-            std::cmp::Ordering::Greater => match stored.right_loc {
-                Some(next) => loc = next,
-                None => return Ok(None),
-            },
+/// Nodes rewritten since the last anchor, latest version per key.
+#[derive(Debug, Default)]
+struct WriteSet {
+    nodes: HashMap<Vec<u8>, Arc<AvlNode>>,
+    bytes: u64,
+    /// An edit failed half-way: nodes it already put may shadow the
+    /// versions the tree still links to by key, and nothing could tell
+    /// them apart. The set is neither read nor anchored again; reopening
+    /// the index restarts from the last anchor.
+    broken: bool,
+}
+
+impl WriteSet {
+    fn usable(&self) -> Result<&Self, AvlError> {
+        match self.broken {
+            false => Ok(self),
+            true => Err(AvlError::Backend {
+                detail: "a failed edit left the write set inconsistent; reopen the index".into(),
+            }),
         }
     }
 }
 
-/// Resolves the log location of the exact node version `link` commits
-/// to, via the anchored tree.
-fn locate_anchored(
-    log: &NodeLog,
-    cache: &NodeCache,
-    anchor: Option<RecordLoc>,
-    link: &AvlLink,
-    memo: &LocMemo,
-) -> Result<RecordLoc, AvlError> {
-    let Some((stored, loc)) = walk_anchor(log, cache, anchor, &link.key, memo)? else {
-        return Err(AvlError::CorruptNode {
-            detail: "committed node missing from the anchored tree",
-        });
-    };
-    if stored.node.node_hash() != link.hash {
-        return Err(AvlError::CorruptNode {
-            detail: "anchored node version disagrees with its parent link",
-        });
-    }
-    Ok(loc)
-}
-
+/// A link with a location names that log record (verified against the
+/// link's hash by the tree layer); one without names a write-set node.
 fn get_node_from(
     log: &NodeLog,
     cache: &NodeCache,
-    dirty: &HashMap<Vec<u8>, Arc<AvlNode>>,
-    anchor: Option<RecordLoc>,
-    key: &[u8],
-    memo: &LocMemo,
+    dirty: &WriteSet,
+    link: &AvlLink,
 ) -> Result<Option<Arc<AvlNode>>, AvlError> {
-    if let Some(node) = dirty.get(key) {
-        return Ok(Some(node.clone()));
+    match link.addr {
+        Some(addr) => load_node(log, cache, addr).map(Some),
+        None => Ok(dirty.usable()?.nodes.get(&link.key).cloned()),
     }
-    Ok(walk_anchor(log, cache, anchor, key, memo)?.map(|(stored, _)| stored.node))
 }
 
-/// Read-only [`AvlNodeStore`] over the log: dirty set first, anchored
-/// tree second.
+/// Read-only [`AvlNodeStore`] over the log and the write set.
 struct NodeReader<'a> {
     log: &'a NodeLog,
     cache: &'a NodeCache,
-    dirty: &'a HashMap<Vec<u8>, Arc<AvlNode>>,
-    anchor: Option<RecordLoc>,
-    memo: LocMemo,
+    dirty: &'a WriteSet,
 }
 
 impl AvlNodeStore for NodeReader<'_> {
-    fn get_node(&self, key: &[u8]) -> Result<Option<Arc<AvlNode>>, AvlError> {
-        get_node_from(
-            self.log,
-            self.cache,
-            self.dirty,
-            self.anchor,
-            key,
-            &self.memo,
-        )
+    fn get_node(&self, link: &AvlLink) -> Result<Option<Arc<AvlNode>>, AvlError> {
+        get_node_from(self.log, self.cache, self.dirty, link)
     }
 
-    fn put_node(&mut self, _node: &AvlNode) -> Result<(), AvlError> {
+    fn put_node(&mut self, _node: AvlNode) -> Result<(), AvlError> {
         Err(AvlError::Backend {
             detail: "node store is read-only outside push".to_string(),
         })
@@ -554,35 +532,30 @@ impl AvlNodeStore for NodeReader<'_> {
 }
 
 /// Writable [`AvlNodeStore`] for [`TableSource::push`]: writes go to
-/// the in-memory dirty set; the log is only appended to at sync time,
+/// the in-memory write set; the log is only appended to at sync time,
 /// so one anchor writes each rewritten node once, not once per insert.
 struct NodeEditor<'a> {
     log: &'a NodeLog,
     cache: &'a NodeCache,
-    dirty: &'a mut HashMap<Vec<u8>, Arc<AvlNode>>,
-    dirty_bytes: &'a mut u64,
-    anchor: Option<RecordLoc>,
-    memo: LocMemo,
+    dirty: &'a mut WriteSet,
 }
 
 impl AvlNodeStore for NodeEditor<'_> {
-    fn get_node(&self, key: &[u8]) -> Result<Option<Arc<AvlNode>>, AvlError> {
-        get_node_from(
-            self.log,
-            self.cache,
-            self.dirty,
-            self.anchor,
-            key,
-            &self.memo,
-        )
+    fn get_node(&self, link: &AvlLink) -> Result<Option<Arc<AvlNode>>, AvlError> {
+        get_node_from(self.log, self.cache, self.dirty, link)
     }
 
-    fn put_node(&mut self, node: &AvlNode) -> Result<(), AvlError> {
-        let size = node.resident_size() as u64;
-        if let Some(old) = self.dirty.insert(node.key.clone(), Arc::new(node.clone())) {
-            *self.dirty_bytes = self.dirty_bytes.saturating_sub(old.resident_size() as u64);
+    fn put_node(&mut self, node: AvlNode) -> Result<(), AvlError> {
+        self.dirty.bytes += node.resident_size() as u64;
+        // Most puts replace an ancestor some earlier insert already
+        // rewrote: only a first version pays for a copy of its key.
+        let old = match self.dirty.nodes.get_mut(&node.key) {
+            Some(slot) => Some(std::mem::replace(slot, Arc::new(node))),
+            None => self.dirty.nodes.insert(node.key.clone(), Arc::new(node)),
+        };
+        if let Some(old) = old {
+            self.dirty.bytes = self.dirty.bytes.saturating_sub(old.resident_size() as u64);
         }
-        *self.dirty_bytes += size;
         Ok(())
     }
 }
@@ -594,11 +567,7 @@ struct IndexInner {
     tip: u64,
     /// Height the on-disk root record anchors.
     anchored_tip: u64,
-    /// Log location of the anchored root node.
-    anchor: Option<RecordLoc>,
-    /// Nodes written since the last anchor, latest version per key.
-    dirty: HashMap<Vec<u8>, Arc<AvlNode>>,
-    dirty_bytes: u64,
+    dirty: WriteSet,
 }
 
 /// A persistent, authenticated [`TableSource`]: the chain's per-block
@@ -654,9 +623,7 @@ impl IndexedTables {
                 tree: AvlTree::new(),
                 tip: 0,
                 anchored_tip: 0,
-                anchor: None,
-                dirty: HashMap::new(),
-                dirty_bytes: 0,
+                dirty: WriteSet::default(),
             }),
             cache: Mutex::new(LruCache::new(cache_bytes)),
         };
@@ -698,32 +665,24 @@ impl IndexedTables {
         if stale_tmp.exists() {
             fs_impl.remove_file(&stale_tmp)?;
         }
-        let (tip, link, anchor) = read_root(&dir.join(ROOT_FILE))?;
+        let (tip, root) = read_root(&dir.join(ROOT_FILE))?;
         let log = NodeLog::open(dir, segment_target_bytes, Arc::clone(&fs_impl))?;
         let tables = IndexedTables {
             dir: dir.to_path_buf(),
             log,
             fs: fs_impl,
             inner: RwLock::new(IndexInner {
-                tree: AvlTree::from_root(link.clone()),
+                tree: AvlTree::from_root(root),
                 tip,
                 anchored_tip: tip,
-                anchor,
-                dirty: HashMap::new(),
-                dirty_bytes: 0,
+                dirty: WriteSet::default(),
             }),
             cache: Mutex::new(LruCache::new(cache_bytes)),
         };
-        if let (Some(link), Some(anchor)) = (link, anchor) {
-            let stored =
-                load_stored(&tables.log, &tables.cache, anchor).map_err(avl_store_error)?;
-            if stored.node.key != link.key
-                || stored.node.height() != link.height
-                || stored.node.node_hash() != link.hash
-            {
-                return Err(avl_store_error(AvlError::CorruptNode {
-                    detail: "anchored root node disagrees with the root record",
-                }));
+        {
+            let inner = tables.inner.read();
+            if let Some(root) = inner.tree.root() {
+                fetch(&tables.reader(&inner), root).map_err(avl_store_error)?;
             }
         }
         Ok(tables)
@@ -780,9 +739,17 @@ impl IndexedTables {
     }
 
     /// The authenticated root hash over the entire index
-    /// ([`Hash256::ZERO`] when empty).
-    pub fn root_hash(&self) -> Hash256 {
-        self.inner.read().tree.root_hash()
+    /// ([`Hash256::ZERO`] when empty), hashing first whatever was pushed
+    /// since the last sync (no I/O).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Chain`] if an earlier failed push left the write
+    /// set unusable.
+    pub fn root_hash(&self) -> Result<Hash256, StoreError> {
+        let mut inner = self.inner.write();
+        self.commit(&mut inner)?;
+        Ok(inner.tree.root_hash())
     }
 
     /// Total bytes across the node-log segment files.
@@ -883,7 +850,8 @@ impl IndexedTables {
     /// [`StoreError::Chain`] if the height has no table entry or a node
     /// on the path fails verification.
     pub fn prove_table(&self, height: u64) -> Result<(AvlProof, Hash256), StoreError> {
-        let inner = self.inner.read();
+        let mut inner = self.inner.write();
+        self.commit(&mut inner)?;
         let reader = self.reader(&inner);
         let proof = inner
             .tree
@@ -897,85 +865,124 @@ impl IndexedTables {
             log: &self.log,
             cache: &self.cache,
             dirty: &inner.dirty,
-            anchor: inner.anchor,
-            memo: LocMemo::default(),
         }
     }
 
-    /// Writes every dirty node to the log children-first, fsyncs it,
-    /// and re-anchors the root record at the current tip.
+    /// Hashes every node rewritten since the last commit, in memory.
+    fn commit(&self, inner: &mut IndexInner) -> Result<(), StoreError> {
+        inner.dirty.usable().map_err(avl_store_error)?;
+        let mut editor = NodeEditor {
+            log: &self.log,
+            cache: &self.cache,
+            dirty: &mut inner.dirty,
+        };
+        inner.tree.commit(&mut editor).map_err(avl_store_error)?;
+        Ok(())
+    }
+
+    /// Applies one batch of tree edits to the write set. A batch that
+    /// fails half-way leaves the set unusable ([`WriteSet::broken`]).
+    fn edit(
+        &mut self,
+        edits: impl FnOnce(&mut AvlTree, &mut NodeEditor<'_>) -> Result<(), AvlError>,
+    ) -> Result<(), ChainError> {
+        let inner = self.inner.get_mut();
+        let mut editor = NodeEditor {
+            log: &self.log,
+            cache: &self.cache,
+            dirty: &mut inner.dirty,
+        };
+        let result = edits(&mut inner.tree, &mut editor);
+        inner.dirty.broken |= result.is_err();
+        result.map_err(avl_chain_error)
+    }
+
+    /// Hashes the write set, appends it to the log children-first in
+    /// one buffered batch, fsyncs the log, and re-anchors the root
+    /// record at the current tip. Only then does memory change hands.
     fn flush(&self) -> Result<(), StoreError> {
         let mut inner = self.inner.write();
-        if inner.dirty.is_empty() && inner.anchored_tip == inner.tip {
+        let inner = &mut *inner;
+        if inner.dirty.nodes.is_empty() && inner.anchored_tip == inner.tip {
             return Ok(());
         }
-        let inner = &mut *inner;
-        let memo = LocMemo::default();
-        let root_loc = match inner.tree.root() {
+        self.commit(inner)?;
+        let mut batch = LogBatch {
+            log: &self.log,
+            writer: self.log.writer.lock(),
+            buf: Vec::new(),
+        };
+        let mut written = Vec::with_capacity(inner.dirty.nodes.len());
+        let root_addr = match inner.tree.root() {
             None => None,
-            Some(link) => Some(write_subtree(
-                link,
-                &inner.dirty,
-                inner.anchor,
-                &self.log,
-                &self.cache,
-                &memo,
-            )?),
+            Some(link) => Some(write_subtree(link, &inner.dirty, &mut batch, &mut written)?),
         };
         // Log first, root second: the renamed-in root record must only
         // ever reference nodes that are already durable.
-        self.log.sync()?;
-        write_root(&self.dir, inner.tip, inner.tree.root(), root_loc, &*self.fs)?;
-        inner.anchor = root_loc;
+        batch.finish()?;
+        write_root(
+            &self.dir,
+            inner.tip,
+            inner.tree.root(),
+            root_addr,
+            &*self.fs,
+        )?;
         inner.anchored_tip = inner.tip;
-        inner.dirty.clear();
-        inner.dirty_bytes = 0;
+        inner.tree = AvlTree::from_root(inner.tree.root().map(|link| AvlLink {
+            addr: root_addr,
+            ..link.clone()
+        }));
+        // The write set lets go of its nodes first, so handing each its
+        // children's locations below copies nothing.
+        inner.dirty = WriteSet::default();
+        let mut cache = self.cache.lock();
+        for (addr, mut node, left, right) in written {
+            let relinked = Arc::make_mut(&mut node);
+            for (link, child) in [(&mut relinked.left, left), (&mut relinked.right, right)] {
+                if let Some(link) = link {
+                    link.addr = child;
+                }
+            }
+            cache.put(addr, node, addr.len as usize + 96);
+        }
         Ok(())
     }
 }
 
-/// Writes the dirty nodes of the subtree under `link` to the log,
-/// children before parents, and returns the subtree root's location.
-/// Clean subtrees are not descended into — their root's location is
-/// resolved through the previously anchored tree.
+/// A node framed by [`write_subtree`]: where its record goes, the
+/// write set's node (shared, not copied), and its children's locations.
+type Written = (NodeAddr, Arc<AvlNode>, Option<NodeAddr>, Option<NodeAddr>);
+
+/// Frames the unwritten nodes of the subtree under `link` into
+/// `batch`, children before parents, and returns the subtree root's
+/// location. A link that carries a location is a clean subtree: its
+/// record is already in the log and nothing below it can be unwritten.
 fn write_subtree(
     link: &AvlLink,
-    dirty: &HashMap<Vec<u8>, Arc<AvlNode>>,
-    anchor: Option<RecordLoc>,
-    log: &NodeLog,
-    cache: &NodeCache,
-    memo: &LocMemo,
-) -> Result<RecordLoc, StoreError> {
-    match dirty.get(&link.key) {
-        Some(node) if node.node_hash() == link.hash => {
-            let left_loc = node
-                .left
-                .as_ref()
-                .map(|l| write_subtree(l, dirty, anchor, log, cache, memo))
-                .transpose()?;
-            let right_loc = node
-                .right
-                .as_ref()
-                .map(|l| write_subtree(l, dirty, anchor, log, cache, memo))
-                .transpose()?;
-            let payload = encode_stored(node, left_loc, right_loc);
-            let loc = log.append(&payload)?;
-            cache.lock().put(
-                loc,
-                StoredNode {
-                    node: node.clone(),
-                    left_loc,
-                    right_loc,
-                },
-                payload.len() + 96,
-            );
-            Ok(loc)
-        }
-        // Not dirty (or a stale dirty version, which locate_anchored
-        // will refuse): the exact committed version must already be in
-        // the anchored tree.
-        _ => locate_anchored(log, cache, anchor, link, memo).map_err(avl_store_error),
+    dirty: &WriteSet,
+    batch: &mut LogBatch<'_>,
+    written: &mut Vec<Written>,
+) -> Result<NodeAddr, StoreError> {
+    if let Some(addr) = link.addr {
+        return Ok(addr);
     }
+    let node = match dirty.nodes.get(&link.key) {
+        Some(node) if link.hash.is_some() && node.node_hash() == link.hash => node,
+        _ => {
+            return Err(avl_store_error(AvlError::CorruptNode {
+                detail: "write set does not hold the node its link committed to",
+            }))
+        }
+    };
+    let mut child = |link: &Option<AvlLink>| {
+        link.as_ref()
+            .map(|l| write_subtree(l, dirty, batch, written))
+            .transpose()
+    };
+    let (left, right) = (child(&node.left)?, child(&node.right)?);
+    let addr = batch.push(node, left, right)?;
+    written.push((addr, Arc::clone(node), left, right));
+    Ok(addr)
 }
 
 /// Atomically rewrites `root.idx`:
@@ -984,7 +991,7 @@ fn write_root(
     dir: &Path,
     tip: u64,
     link: Option<&AvlLink>,
-    loc: Option<RecordLoc>,
+    loc: Option<NodeAddr>,
     fs_impl: &dyn StoreFs,
 ) -> Result<(), StoreError> {
     let mut bytes = Vec::new();
@@ -1007,8 +1014,9 @@ fn write_root(
     Ok(())
 }
 
-/// Reads and validates `root.idx` back.
-fn read_root(path: &Path) -> Result<(u64, Option<AvlLink>, Option<RecordLoc>), StoreError> {
+/// Reads and validates `root.idx` back: the anchored tip and the root
+/// link, carrying the root node's location.
+fn read_root(path: &Path) -> Result<(u64, Option<AvlLink>), StoreError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     if bytes.len() < 20 {
@@ -1061,7 +1069,7 @@ fn read_root(path: &Path) -> Result<(u64, Option<AvlLink>, Option<RecordLoc>), S
             detail: "anchored tip without a root node",
         });
     }
-    Ok((tip, link, loc))
+    Ok((tip, link.map(|link| AvlLink { addr: loc, ..link })))
 }
 
 fn encode_table(table: &[(Address, u64)]) -> Vec<u8> {
@@ -1100,56 +1108,26 @@ impl TableSource for IndexedTables {
     }
 
     fn push(&mut self, update: TableUpdate<'_>) -> Result<(), ChainError> {
-        let inner = self.inner.get_mut();
-        debug_assert_eq!(update.height, inner.tip + 1);
-        let IndexInner {
-            tree,
-            dirty,
-            dirty_bytes,
-            anchor,
-            tip,
-            ..
-        } = inner;
-        let mut editor = NodeEditor {
-            log: &self.log,
-            cache: &self.cache,
-            dirty,
-            dirty_bytes,
-            anchor: *anchor,
-            memo: LocMemo::default(),
-        };
+        debug_assert_eq!(update.height, self.inner.get_mut().tip + 1);
         // Canonical per-block order: header, table, spans, addresses —
         // replaying the same blocks therefore grows the identical tree,
         // which is what makes rebuild == incremental testable.
-        tree.insert(
-            &mut editor,
-            &header_key(update.height),
-            &update.header.encode(),
-        )
-        .map_err(avl_chain_error)?;
-        tree.insert(
-            &mut editor,
-            &table_key(update.height),
-            &encode_table(&update.table),
-        )
-        .map_err(avl_chain_error)?;
-        for span in update.new_spans {
+        self.edit(|tree, editor| {
+            tree.insert(editor, &header_key(update.height), &update.header.encode())?;
             tree.insert(
-                &mut editor,
-                &span_key(span.lo, span.hi),
-                &span.hash.encode(),
-            )
-            .map_err(avl_chain_error)?;
-        }
-        for (address, count) in update.table.iter() {
-            tree.insert(
-                &mut editor,
-                &addr_key(address, update.height),
-                &count.encode(),
-            )
-            .map_err(avl_chain_error)?;
-        }
-        *tip += 1;
+                editor,
+                &table_key(update.height),
+                &encode_table(&update.table),
+            )?;
+            for span in update.new_spans {
+                tree.insert(editor, &span_key(span.lo, span.hi), &span.hash.encode())?;
+            }
+            for (address, count) in update.table.iter() {
+                tree.insert(editor, &addr_key(address, update.height), &count.encode())?;
+            }
+            Ok(())
+        })?;
+        self.inner.get_mut().tip += 1;
         Ok(())
     }
 
@@ -1195,27 +1173,12 @@ impl TableSource for IndexedTables {
                 })
                 .map_err(avl_chain_error)?;
         }
-        let inner = self.inner.get_mut();
-        let IndexInner {
-            tree,
-            dirty,
-            dirty_bytes,
-            anchor,
-            tip,
-            ..
-        } = inner;
-        let mut editor = NodeEditor {
-            log: &self.log,
-            cache: &self.cache,
-            dirty,
-            dirty_bytes,
-            anchor: *anchor,
-            memo: LocMemo::default(),
-        };
-        for key in &doomed {
-            tree.remove(&mut editor, key).map_err(avl_chain_error)?;
-        }
-        *tip = height;
+        self.edit(|tree, editor| {
+            doomed
+                .iter()
+                .try_for_each(|key| tree.remove(editor, key).map(drop))
+        })?;
+        self.inner.get_mut().tip = height;
         Ok(())
     }
 
@@ -1274,7 +1237,7 @@ impl TableSource for IndexedTables {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.inner.read().dirty_bytes + self.cache.lock().stats().used_bytes
+        self.inner.read().dirty.bytes + self.cache.lock().stats().used_bytes
     }
 }
 

@@ -356,6 +356,10 @@ fn crash_at_every_durable_op_recovers_and_resumes() {
     assert_ne!(block_bytes(&truth, FORK + 1), block_bytes(&rival, FORK + 1));
 
     let (total_ops, write_ops) = count_crash_points();
+    println!(
+        "sweeping {total_ops} durable ops, {} of them writes",
+        write_ops.len()
+    );
     assert!(
         total_ops > 40,
         "workload exercises too few durable ops ({total_ops}) — did the seam regress?"

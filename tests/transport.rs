@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use lvq::codec::{decode_exact, Encodable};
-use lvq::node::{Message, ResyncOutcome, WireError, WireErrorCode, PROTOCOL_VERSION};
+use lvq::node::{
+    Handled, Message, RequestKind, ResyncOutcome, WireError, WireErrorCode, PROTOCOL_VERSION,
+};
 use lvq::prelude::*;
 
 fn workload_for(scheme: Scheme, segment_len: u64, blocks: u64, seed: u64) -> Workload {
@@ -294,6 +296,77 @@ fn several_adversaries_cannot_starve_honest_clients() {
     // adversaries never got a single request through.
     assert_eq!(stats.requests, 3 * 2);
     assert_eq!(stats.by_kind.invalid, 1);
+}
+
+/// A node whose every answer is one 24 MiB blob — more than the
+/// kernel's socket buffers swallow, so most of it waits in the
+/// server's write queue for the reader.
+struct BlobNode;
+
+const BLOB_LEN: usize = 24 << 20;
+
+impl ServeNode for BlobNode {
+    fn handle_classified(&self, _request: &[u8]) -> Handled {
+        Handled {
+            kind: RequestKind::Query,
+            bytes: vec![0xB1; BLOB_LEN],
+            error: None,
+        }
+    }
+}
+
+/// Connects to a fresh [`BlobNode`] server, asks for the blob, and
+/// reads its frame header plus `upfront` payload bytes.
+fn blob_reader(upfront: usize) -> (NodeServer<BlobNode>, TcpStream) {
+    let server =
+        NodeServer::bind(Arc::new(BlobNode), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&1u32.to_le_bytes()).unwrap();
+    stream.write_all(&[PROTOCOL_VERSION]).unwrap();
+    let mut head = vec![0u8; 4 + upfront];
+    stream.read_exact(&mut head).unwrap();
+    assert_eq!(head[..4], (BLOB_LEN as u32).to_le_bytes());
+    (server, stream)
+}
+
+/// The write-stall limit grows with what is still queued for the peer:
+/// an honest reader that sits out half a second in the middle of a
+/// multi-MB reply — a client thread that lost its core to a dozen
+/// others — is not a dead peer, whatever the 200 ms base limit says.
+#[test]
+fn slow_reader_of_a_large_reply_is_not_evicted() {
+    let (server, mut stream) = blob_reader(1 << 20);
+    std::thread::sleep(Duration::from_millis(500));
+    let mut rest = vec![0u8; BLOB_LEN - (1 << 20)];
+    stream
+        .read_exact(&mut rest)
+        .expect("the server kept the connection through the pause");
+    assert!(rest.iter().all(|b| *b == 0xB1));
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (1, 0));
+}
+
+/// …and a reader that never comes back is still dropped, counted as a
+/// fault, and its queue freed — within the time its backlog would take
+/// at the floor drain rate, not never.
+#[test]
+fn reader_that_never_drains_is_evicted() {
+    let (server, stream) = blob_reader(0);
+    let started = Instant::now();
+    while server.stats().errors == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "a peer that reads nothing was never dropped"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // 200 ms plus at most 24 MiB at 4 MiB/s; never *before* the base limit.
+    assert!(started.elapsed() > Duration::from_millis(200));
+    assert!(started.elapsed() < Duration::from_millis(200 + 6000 + 2000));
+    assert_eq!(server.stats().connections_open, 0);
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (1, 1));
 }
 
 /// A chain of coinbase-only blocks up to `blocks`; equal prefixes give
