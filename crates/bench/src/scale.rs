@@ -11,7 +11,7 @@ use lvq_workload::{probes, ProbeSpec, TrafficModel};
 /// preserved while a full run takes seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast, shape-preserving runs for CI and Criterion.
+    /// Fast, shape-preserving runs for CI and the golden figure test.
     Small,
     /// The paper's full setup.
     Paper,

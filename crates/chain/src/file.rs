@@ -182,6 +182,22 @@ pub fn save_to_path<S: BlockSource>(
     save(chain, File::create(path)?)
 }
 
+/// Parses what both loaders read first: magic, version, [`ChainParams`]
+/// and the block count. The returned reader stands at the first block.
+fn parse_prefix(bytes: &[u8]) -> Result<(ChainParams, usize, Reader<'_>), ChainFileError> {
+    if bytes.len() < 8 || bytes[..4] != MAGIC {
+        return Err(ChainFileError::BadMagic);
+    }
+    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != VERSION {
+        return Err(ChainFileError::UnsupportedVersion { found: version });
+    }
+    let mut reader = Reader::new(&bytes[8..]);
+    let params = ChainParams::decode_from(&mut reader)?;
+    let count = reader.read_len()?;
+    Ok((params, count, reader))
+}
+
 /// Reads a chain, replaying every block through [`ChainBuilder`] so all
 /// commitments are recomputed and checked against the stored headers.
 ///
@@ -190,23 +206,12 @@ pub fn save_to_path<S: BlockSource>(
 /// Returns a [`ChainFileError`] for I/O problems, corrupt bytes, or any
 /// header that fails to replay identically.
 pub fn load<R: Read>(reader: R) -> Result<Chain, ChainFileError> {
-    let mut r = BufReader::new(reader);
     let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() < 8 || bytes[..4] != MAGIC {
-        return Err(ChainFileError::BadMagic);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(ChainFileError::UnsupportedVersion { found: version });
-    }
-
-    let mut reader = Reader::new(&bytes[8..]);
-    let params = ChainParams::decode_from(&mut reader)?;
-    let count = reader.read_len()? as u64;
+    BufReader::new(reader).read_to_end(&mut bytes)?;
+    let (params, count, mut reader) = parse_prefix(&bytes)?;
 
     let mut builder = ChainBuilder::new(params)?;
-    for height in 1..=count {
+    for height in 1..=count as u64 {
         let block = Block::decode_from(&mut reader)?;
         let stored_header = block.header;
         builder.push_block(block.transactions)?;
@@ -243,24 +248,12 @@ pub fn load_from_path(path: impl AsRef<Path>) -> Result<Chain, ChainFileError> {
 /// Returns a [`ChainFileError`] for I/O problems, corrupt bytes, or
 /// headers that do not chain.
 pub fn load_trusted<R: Read>(reader: R) -> Result<Chain, ChainFileError> {
-    let mut r = BufReader::new(reader);
     let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() < 8 || bytes[..4] != MAGIC {
-        return Err(ChainFileError::BadMagic);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(ChainFileError::UnsupportedVersion { found: version });
-    }
-
-    let mut reader = Reader::new(&bytes[8..]);
-    let params = ChainParams::decode_from(&mut reader)?;
-    let count = reader.read_len()? as u64;
-    let mut blocks = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        blocks.push(Block::decode_from(&mut reader)?);
-    }
+    BufReader::new(reader).read_to_end(&mut bytes)?;
+    let (params, count, mut reader) = parse_prefix(&bytes)?;
+    // `count` is the file's claim; `decode_vec` reserves no more than
+    // the bytes that are left could hold.
+    let blocks = Block::decode_vec(&mut reader, count)?;
     reader.finish()?;
     Ok(Chain::assemble_trusted(
         params,

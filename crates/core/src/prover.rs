@@ -2,7 +2,7 @@
 
 use lvq_bloom::BloomFilter;
 use lvq_chain::{Address, BlockSource, Chain, InMemoryBlocks, InMemoryTables, TableSource};
-use lvq_merkle::bmt::{self, BmtBatchNode, BmtBatchProof, BmtProofNode};
+use lvq_merkle::bmt::{self, BmtBatchNode, BmtProofNode};
 
 use crate::batch::{
     BatchBlockEntry, BatchPerBlockResponse, BatchQueryResponse, BatchSegmentBundle,
@@ -14,7 +14,7 @@ use crate::result::{
     BlockEntry, PerBlockResponse, QueryResponse, SegmentBundle, SegmentedResponse,
 };
 use crate::scheme::{Scheme, SchemeConfig};
-use crate::segment::{segments, Segment};
+use crate::segment::segments;
 use crate::stats::ProverStats;
 
 /// A full node's query answering engine.
@@ -206,8 +206,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
     /// Under the BMT schemes, each segment receives a single shared
     /// descent ([`bmt::prove_multi`]) serving every address's bit
     /// positions; under the per-block schemes, each block's filter is
-    /// included once for all addresses. With the `parallel` feature
-    /// enabled, segment proofs are generated on scoped worker threads.
+    /// included once for all addresses.
     ///
     /// # Errors
     ///
@@ -325,14 +324,14 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         position_sets: &[Vec<u64>],
         stats: &mut ProverStats,
     ) -> Result<BatchSegmentedResponse, ProveError> {
-        let segs: Vec<Segment> = segments(hi, self.config.segment_len())
-            .into_iter()
-            .filter(|seg| seg.hi >= lo)
-            .collect();
-        let proofs = self.batch_segment_proofs(&segs, position_sets)?;
-
-        let mut bundles = Vec::with_capacity(segs.len());
-        for (seg, proof) in segs.iter().zip(proofs) {
+        let mut bundles = Vec::new();
+        for seg in segments(hi, self.config.segment_len()) {
+            if seg.hi < lo {
+                // Entirely below the queried range.
+                continue;
+            }
+            let source = self.chain.segment_source(seg.lo, seg.hi)?;
+            let proof = bmt::prove_multi(&source, position_sets)?;
             stats.batch_bmt.merge(&proof.stats());
             let mut sections = Vec::with_capacity(addresses.len());
             for (j, address) in addresses.iter().enumerate() {
@@ -352,49 +351,6 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             bundles.push(BatchSegmentBundle { proof, sections });
         }
         Ok(BatchSegmentedResponse { segments: bundles })
-    }
-
-    /// Generates the shared proof for every segment, sequentially.
-    #[cfg(not(feature = "parallel"))]
-    fn batch_segment_proofs(
-        &self,
-        segs: &[Segment],
-        position_sets: &[Vec<u64>],
-    ) -> Result<Vec<BmtBatchProof>, ProveError> {
-        segs.iter()
-            .map(|seg| {
-                let source = self.chain.segment_source(seg.lo, seg.hi)?;
-                Ok(bmt::prove_multi(&source, position_sets)?)
-            })
-            .collect()
-    }
-
-    /// Generates the shared proof for every segment on scoped worker
-    /// threads (one per segment; segments are few and coarse-grained).
-    ///
-    /// The chain's span-filter cache is lock-guarded, so concurrent
-    /// descents share memoised filters instead of recomputing them.
-    #[cfg(feature = "parallel")]
-    fn batch_segment_proofs(
-        &self,
-        segs: &[Segment],
-        position_sets: &[Vec<u64>],
-    ) -> Result<Vec<BmtBatchProof>, ProveError> {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = segs
-                .iter()
-                .map(|seg| {
-                    scope.spawn(move || -> Result<BmtBatchProof, ProveError> {
-                        let source = self.chain.segment_source(seg.lo, seg.hi)?;
-                        Ok(bmt::prove_multi(&source, position_sets)?)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("segment proof worker panicked"))
-                .collect()
-        })
     }
 
     /// Consults a block body to resolve a failed filter check into the

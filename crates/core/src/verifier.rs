@@ -12,39 +12,6 @@ use crate::result::{QueryResponse, SegmentBundle};
 use crate::scheme::{Scheme, SchemeConfig};
 use crate::segment::{segments, Segment};
 
-/// Runs `f` over `0..count`, preserving order.
-///
-/// With the `parallel` feature the items run on scoped worker threads
-/// (one per segment; segments are few and coarse-grained) — the
-/// light-side counterpart of the prover's parallel segment proofs.
-#[cfg(not(feature = "parallel"))]
-fn map_segments<T, F>(count: usize, f: F) -> Vec<Result<T, QueryError>>
-where
-    F: Fn(usize) -> Result<T, QueryError>,
-{
-    (0..count).map(f).collect()
-}
-
-/// Parallel variant: see the sequential twin above.
-#[cfg(feature = "parallel")]
-fn map_segments<T, F>(count: usize, f: F) -> Vec<Result<T, QueryError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, QueryError> + Sync,
-{
-    if count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..count).map(|i| scope.spawn(move || f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment verify worker panicked"))
-            .collect()
-    })
-}
-
 /// How much the verification established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Completeness {
@@ -359,17 +326,9 @@ impl LightClient {
                 if r.segments.len() != segs.len() {
                     return Err(QueryError::SegmentMismatch);
                 }
-                let per_segment = map_segments(segs.len(), |i| {
-                    self.verify_batch_segment(
-                        addresses,
-                        &position_sets,
-                        &segs[i],
-                        &r.segments[i],
-                        lo,
-                    )
-                });
-                for result in per_segment {
-                    let (sections, flags) = result?;
+                for (seg, bundle) in segs.iter().zip(&r.segments) {
+                    let (sections, flags) =
+                        self.verify_batch_segment(addresses, &position_sets, seg, bundle, lo)?;
                     for (j, (txs, flag)) in sections.into_iter().zip(flags).enumerate() {
                         collected[j].extend(txs);
                         correctness_only[j] |= flag;
@@ -579,11 +538,8 @@ impl LightClient {
                 if r.segments.len() != segs.len() {
                     return Err(QueryError::SegmentMismatch);
                 }
-                let per_segment = map_segments(segs.len(), |i| {
-                    self.verify_segment(address, &positions, &segs[i], &r.segments[i], lo)
-                });
-                for result in per_segment {
-                    let (txs, flag) = result?;
+                for (seg, bundle) in segs.iter().zip(&r.segments) {
+                    let (txs, flag) = self.verify_segment(address, &positions, seg, bundle, lo)?;
                     collected.extend(txs);
                     correctness_only |= flag;
                 }

@@ -60,7 +60,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::live::LiveNode;
-use crate::supervise::{HealthCell, Supervised, SupervisorConfig, TaskSpec, WorkCtx};
+use crate::supervise::{
+    interruptible_sleep, HealthCell, Supervised, SupervisorConfig, TaskSpec, WorkCtx,
+};
 
 /// Supervision labels for the ingest pipeline.
 const INGEST_SPEC: TaskSpec = TaskSpec {
@@ -659,17 +661,6 @@ impl Drop for IngestHandle {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
-    }
-}
-
-/// Sleeps for `total`, waking early if `stop` is raised.
-fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
-    let mut remaining = total;
-    let chunk = Duration::from_millis(5);
-    while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
-        let step = remaining.min(chunk);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
     }
 }
 

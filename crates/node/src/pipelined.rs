@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use crate::message::{envelope, HelloInfo, Message, NodeError};
 use crate::pipe::Traffic;
 use crate::tcp::{TcpOptions, TcpTransport};
@@ -62,7 +62,6 @@ pub type ReqId = u64;
 #[derive(Debug)]
 pub struct PipelinedTcpTransport {
     stream: TcpStream,
-    max_frame_len: u32,
     granted: u32,
     next_id: u64,
     /// id → enveloped request length, so the exchange's traffic can be
@@ -114,9 +113,8 @@ impl PipelinedTcpTransport {
             }),
             0,
         );
-        let max_frame_len = tcp.max_frame();
         write_frame(tcp.stream_mut(), &hello)?;
-        let reply = read_frame(tcp.stream_mut(), max_frame_len)?;
+        let reply = read_frame(tcp.stream_mut(), MAX_FRAME_LEN)?;
         let traffic = Traffic {
             request_bytes: hello.len() as u64,
             response_bytes: reply.len() as u64,
@@ -133,10 +131,9 @@ impl PipelinedTcpTransport {
         match (Message::decode_classified(&payload), enveloped) {
             (Ok(Message::HelloAck(ack)), true) => {
                 tcp.record_extra(traffic);
-                let (stream, max_frame_len, cumulative, exchanges) = tcp.into_parts();
+                let (stream, cumulative, exchanges) = tcp.into_parts();
                 Ok(PipelinedTcpTransport {
                     stream,
-                    max_frame_len,
                     granted: ack.max_in_flight.max(1),
                     next_id: 1,
                     pending: HashMap::new(),
@@ -159,12 +156,6 @@ impl PipelinedTcpTransport {
     /// How many requests are currently in flight.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Lowers (or raises) the largest response frame this client will
-    /// accept.
-    pub fn set_max_frame_len(&mut self, max: u32) {
-        self.max_frame_len = max;
     }
 
     /// Writes one encoded v1 request, returning the id its response
@@ -205,7 +196,7 @@ impl PipelinedTcpTransport {
                 context: "recv with nothing in flight",
             });
         }
-        let reply = read_frame(&mut self.stream, self.max_frame_len)?;
+        let reply = read_frame(&mut self.stream, MAX_FRAME_LEN)?;
         let Some((id, v1)) = envelope::unwrap_v2(&reply) else {
             // A bare v1 frame on a negotiated v2 connection: the reply
             // stream is corrupt. Surface any structured refusal it

@@ -22,7 +22,6 @@
 use std::net::ToSocketAddrs;
 use std::time::Duration;
 
-use crate::frame::MAX_FRAME_LEN;
 use crate::message::NodeError;
 use crate::pipe::Traffic;
 use crate::tcp::{TcpOptions, TcpTransport};
@@ -40,7 +39,6 @@ pub struct ReconnectingTcpTransport {
     addr: String,
     conn: Option<TcpTransport>,
     options: TcpOptions,
-    max_frame_len: u32,
     max_redials: u32,
     redial_delay: Duration,
     cumulative: Traffic,
@@ -52,7 +50,7 @@ impl ReconnectingTcpTransport {
     /// Connects to a serving full node at `addr` (kept for re-dialing).
     ///
     /// Defaults: 3 re-dials per exchange, 20ms apart, no socket
-    /// timeouts, [`MAX_FRAME_LEN`] frame cap.
+    /// timeouts.
     ///
     /// # Errors
     ///
@@ -76,7 +74,6 @@ impl ReconnectingTcpTransport {
             addr: addr.into(),
             conn: None,
             options,
-            max_frame_len: MAX_FRAME_LEN,
             max_redials: 3,
             redial_delay: Duration::from_millis(20),
             cumulative: Traffic::default(),
@@ -106,15 +103,6 @@ impl ReconnectingTcpTransport {
             conn.set_timeouts(read, write)?;
         }
         Ok(())
-    }
-
-    /// Caps the largest response frame accepted, now and after every
-    /// reconnect.
-    pub fn set_max_frame_len(&mut self, max: u32) {
-        self.max_frame_len = max;
-        if let Some(conn) = &mut self.conn {
-            conn.set_max_frame_len(max);
-        }
     }
 
     /// Sets how persistently one exchange re-dials: up to `max_redials`
@@ -159,9 +147,7 @@ impl ReconnectingTcpTransport {
                 kind: e.kind(),
             })?
             .collect::<Vec<_>>();
-        let mut conn = TcpTransport::connect_with(addrs.as_slice(), self.options)?;
-        conn.set_max_frame_len(self.max_frame_len);
-        Ok(conn)
+        TcpTransport::connect_with(addrs.as_slice(), self.options)
     }
 
     /// Whether `error` means the *connection* (not the request) failed,
@@ -241,7 +227,7 @@ impl Transport for ReconnectingTcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame_or_event, write_frame, FrameEvent};
+    use crate::frame::{read_frame_or_event, write_frame, FrameEvent, MAX_FRAME_LEN};
     use std::net::TcpListener;
 
     /// Serves `conns` connections, each answering `frames_per_conn`

@@ -141,9 +141,6 @@ pub struct ServerConfig {
     /// plus the time the replies queued on it would take at a fixed
     /// floor rate of 4 MiB/s — is dropped.
     pub write_timeout: Duration,
-    /// Largest request frame accepted; oversized announcements close
-    /// the connection without allocating.
-    pub max_frame_len: u32,
     /// Proof-worker threads in the pool; `0` means one per available
     /// CPU. Workers only run proofs — connections all live on the
     /// event loop — so this bounds CPU, not open connections.
@@ -166,23 +163,14 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// 200 ms stall limits (snappy shutdown on loopback), 64 MiB
-    /// frames, auto-sized pool, 64-deep dispatch queue, no request
-    /// deadline, 32 in-flight requests per v2 connection.
-    ///
-    /// The `LVQ_SERVER_WORKERS` environment variable, when set to a
-    /// positive integer, overrides the auto-sized pool — the hook CI
-    /// uses to run the whole test suite against a fixed pool width.
+    /// 200 ms stall limits (snappy shutdown on loopback), auto-sized
+    /// pool, 64-deep dispatch queue, no request deadline, 32 in-flight
+    /// requests per v2 connection.
     fn default() -> Self {
-        let workers = std::env::var("LVQ_SERVER_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         ServerConfig {
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_millis(200),
-            max_frame_len: MAX_FRAME_LEN,
-            workers,
+            workers: 0,
             accept_queue: 64,
             request_deadline: None,
             max_in_flight: crate::full::DEFAULT_MAX_IN_FLIGHT,
@@ -208,13 +196,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_write_timeout(mut self, write_timeout: Duration) -> Self {
         self.write_timeout = write_timeout;
-        self
-    }
-
-    /// Sets the largest accepted request frame.
-    #[must_use]
-    pub fn with_max_frame_len(mut self, max_frame_len: u32) -> Self {
-        self.max_frame_len = max_frame_len;
         self
     }
 
@@ -679,12 +660,12 @@ fn decode_hello(payload: &[u8]) -> Option<(u64, HelloInfo)> {
     }
 }
 
-fn parse_frame(buf: &mut Vec<u8>, max_frame_len: u32) -> Parsed {
+fn parse_frame(buf: &mut Vec<u8>) -> Parsed {
     if buf.len() < 4 {
         return Parsed::NeedMore;
     }
     let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > max_frame_len {
+    if len > MAX_FRAME_LEN {
         return Parsed::TooLarge;
     }
     let total = 4 + len as usize;
@@ -1188,7 +1169,7 @@ impl<P: ServeNode> EventLoop<P> {
             if conn.parse_gated() || self.stopping.is_some() {
                 break;
             }
-            match parse_frame(&mut conn.read_buf, self.shared.config.max_frame_len) {
+            match parse_frame(&mut conn.read_buf) {
                 Parsed::NeedMore => break,
                 Parsed::TooLarge => {
                     // Close before allocating, without writing a byte
@@ -1580,14 +1561,12 @@ mod tests {
         let config = ServerConfig::new()
             .with_read_timeout(Duration::from_millis(1))
             .with_write_timeout(Duration::from_millis(2))
-            .with_max_frame_len(512)
             .with_workers(5)
             .with_accept_queue(7)
             .with_request_deadline(Some(Duration::from_millis(9)))
             .with_max_in_flight(11);
         assert_eq!(config.read_timeout, Duration::from_millis(1));
         assert_eq!(config.write_timeout, Duration::from_millis(2));
-        assert_eq!(config.max_frame_len, 512);
         assert_eq!(config.workers, 5);
         assert_eq!(config.accept_queue, 7);
         assert_eq!(config.request_deadline, Some(Duration::from_millis(9)));
@@ -1601,20 +1580,29 @@ mod tests {
         buf.extend_from_slice(b"abc");
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.push(b'x');
-        match parse_frame(&mut buf, 1024) {
+        match parse_frame(&mut buf) {
             Parsed::Frame(p) => assert_eq!(p, b"abc"),
             _ => panic!("expected a complete frame"),
         }
-        assert!(matches!(parse_frame(&mut buf, 1024), Parsed::NeedMore));
+        assert!(matches!(parse_frame(&mut buf), Parsed::NeedMore));
         buf.push(b'y');
-        match parse_frame(&mut buf, 1024) {
+        match parse_frame(&mut buf) {
             Parsed::Frame(p) => assert_eq!(p, b"xy"),
             _ => panic!("expected the second frame"),
         }
         assert!(buf.is_empty());
 
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(parse_frame(&mut huge, 1024), Parsed::TooLarge));
+        // The boundary: an announcement of exactly MAX_FRAME_LEN waits
+        // for its payload, one byte more is refused, and neither
+        // touches the buffer — nothing is allocated for an announced
+        // length.
+        let mut largest = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        assert!(matches!(parse_frame(&mut largest), Parsed::NeedMore));
+        assert_eq!(largest, MAX_FRAME_LEN.to_le_bytes());
+        for len in [MAX_FRAME_LEN + 1, u32::MAX] {
+            let mut huge = len.to_le_bytes().to_vec();
+            assert!(matches!(parse_frame(&mut huge), Parsed::TooLarge));
+            assert_eq!(huge, len.to_le_bytes());
+        }
     }
 }

@@ -354,7 +354,7 @@ fn backoff_delay(config: &SupervisorConfig, seed: u64, restart: u32, prev: Durat
 }
 
 /// Sleeps `total`, waking early when `stop` is raised.
-fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
+pub(crate) fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
     let mut remaining = total;
     let chunk = Duration::from_millis(5);
     while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {

@@ -71,7 +71,6 @@ pub struct TcpTransport {
     stream: TcpStream,
     cumulative: Traffic,
     exchanges: u64,
-    max_frame_len: u32,
 }
 
 impl TcpTransport {
@@ -148,7 +147,6 @@ impl TcpTransport {
             stream,
             cumulative: Traffic::default(),
             exchanges: 0,
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 
@@ -172,21 +170,10 @@ impl TcpTransport {
             })
     }
 
-    /// Lowers (or raises) the largest response frame this client will
-    /// accept.
-    pub fn set_max_frame_len(&mut self, max: u32) {
-        self.max_frame_len = max;
-    }
-
     /// The underlying stream, for protocol negotiation preambles
     /// ([`crate::PipelinedTcpTransport::negotiate_on`]).
     pub(crate) fn stream_mut(&mut self) -> &mut TcpStream {
         &mut self.stream
-    }
-
-    /// The configured response-frame limit.
-    pub(crate) fn max_frame(&self) -> u32 {
-        self.max_frame_len
     }
 
     /// Folds out-of-band exchange traffic (e.g. the negotiation
@@ -197,22 +184,16 @@ impl TcpTransport {
         self.exchanges += 1;
     }
 
-    /// Decomposes into the raw stream and the frame limit, keeping the
-    /// accumulated meters alongside.
-    pub(crate) fn into_parts(self) -> (TcpStream, u32, Traffic, u64) {
-        (
-            self.stream,
-            self.max_frame_len,
-            self.cumulative,
-            self.exchanges,
-        )
+    /// Decomposes into the raw stream and the accumulated meters.
+    pub(crate) fn into_parts(self) -> (TcpStream, Traffic, u64) {
+        (self.stream, self.cumulative, self.exchanges)
     }
 }
 
 impl Transport for TcpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<(Vec<u8>, Traffic), NodeError> {
         write_frame(&mut self.stream, request)?;
-        let response = read_frame(&mut self.stream, self.max_frame_len)?;
+        let response = read_frame(&mut self.stream, MAX_FRAME_LEN)?;
         let traffic = Traffic {
             request_bytes: request.len() as u64,
             response_bytes: response.len() as u64,
