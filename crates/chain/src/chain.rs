@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use lvq_bloom::BloomFilter;
 use lvq_crypto::Hash256;
 use lvq_merkle::bmt::{merge_count, BmtBuilder, BmtSource};
-use lvq_merkle::SortedMerkleTree;
+use lvq_merkle::{MerkleTree, SortedMerkleTree};
 
 use crate::address::Address;
 use crate::block::Block;
@@ -45,13 +45,17 @@ impl CacheStats {
     }
 }
 
-/// Combined statistics of all chain-side memo caches.
+/// Combined statistics of all chain-side caches: the chain's three memo
+/// caches plus the block and table sources' own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChainCacheStats {
     /// The dyadic-span Bloom filter cache.
     pub filters: CacheStats,
     /// The per-block SMT cache.
     pub smts: CacheStats,
+    /// The per-block transaction Merkle tree cache, beside the SMTs
+    /// under the same [`CacheConfig::smt_cache_bytes`] budget.
+    pub tx_trees: CacheStats,
     /// The block source's own cache (all zeros for a fully in-memory
     /// source, which never misses and never caches).
     pub blocks: CacheStats,
@@ -148,6 +152,45 @@ impl<K: Eq + Hash + Copy, V: Clone> MemoCache<K, V> {
     }
 }
 
+/// The chain's memo caches, cleared and re-sized together so no memo
+/// can outlive a rewind another one forgot.
+#[derive(Debug)]
+struct Memos {
+    /// Bloom filters, keyed by span (`(h, h)` for leaves).
+    filters: Mutex<MemoCache<(u64, u64), BloomFilter>>,
+    /// Per-block SMTs, keyed by height.
+    smts: Mutex<MemoCache<u64, Arc<SortedMerkleTree>>>,
+    /// Per-block transaction Merkle trees, keyed by height; sized by
+    /// the SMT budget.
+    tx_trees: Mutex<MemoCache<u64, Arc<MerkleTree>>>,
+}
+
+impl Memos {
+    fn new(cache: CacheConfig) -> Self {
+        Memos {
+            filters: Mutex::new(MemoCache::new(cache.filter_cache_bytes)),
+            smts: Mutex::new(MemoCache::new(cache.smt_cache_bytes)),
+            tx_trees: Mutex::new(MemoCache::new(cache.smt_cache_bytes)),
+        }
+    }
+
+    fn clear(&self) {
+        self.filters.lock().clear();
+        self.smts.lock().clear();
+        self.tx_trees.lock().clear();
+    }
+
+    fn reset_with_budgets(&self, cache: CacheConfig) {
+        self.filters
+            .lock()
+            .reset_with_budget(cache.filter_cache_bytes);
+        self.smts.lock().reset_with_budget(cache.smt_cache_bytes);
+        self.tx_trees
+            .lock()
+            .reset_with_budget(cache.smt_cache_bytes);
+    }
+}
+
 /// An assembled blockchain: blocks at heights `1..=tip` behind a
 /// [`BlockSource`], per-block address tables behind a [`TableSource`],
 /// and the hash of every dyadic BMT span.
@@ -183,10 +226,8 @@ pub struct Chain<S: BlockSource = InMemoryBlocks, T: TableSource = InMemoryTable
     /// chain was produced by a path that did not keep one; in the
     /// latter case extension rebuilds it from the stored span hashes.
     pub(crate) bmt_builder: Option<BmtBuilder>,
-    /// Memoised Bloom filters, keyed by span (`(h, h)` for leaves).
-    filter_cache: Mutex<MemoCache<(u64, u64), BloomFilter>>,
-    /// Memoised per-block SMTs, keyed by height.
-    smt_cache: Mutex<MemoCache<u64, Arc<SortedMerkleTree>>>,
+    /// Memoised span filters, SMTs and transaction trees.
+    memos: Memos,
 }
 
 impl Chain {
@@ -197,7 +238,6 @@ impl Chain {
         span_hashes: HashMap<(u64, u64), Hash256>,
         bmt_builder: Option<BmtBuilder>,
     ) -> Self {
-        let cache = params.cache_config();
         let headers = blocks.iter().map(|b| b.header).collect();
         Chain {
             params,
@@ -206,8 +246,7 @@ impl Chain {
             span_hashes,
             source: InMemoryBlocks::new(blocks),
             bmt_builder,
-            filter_cache: Mutex::new(MemoCache::new(cache.filter_cache_bytes)),
-            smt_cache: Mutex::new(MemoCache::new(cache.smt_cache_bytes)),
+            memos: Memos::new(params.cache_config()),
         }
     }
 }
@@ -261,7 +300,6 @@ impl<S: BlockSource> Chain<S> {
             Ok(())
         })?;
 
-        let cache = params.cache_config();
         Ok(Chain {
             params,
             headers,
@@ -269,8 +307,7 @@ impl<S: BlockSource> Chain<S> {
             span_hashes,
             source,
             bmt_builder,
-            filter_cache: Mutex::new(MemoCache::new(cache.filter_cache_bytes)),
-            smt_cache: Mutex::new(MemoCache::new(cache.smt_cache_bytes)),
+            memos: Memos::new(params.cache_config()),
         })
     }
 }
@@ -312,7 +349,6 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
                 ),
             });
         }
-        let cache = params.cache_config();
         Ok(Chain {
             params,
             headers,
@@ -320,8 +356,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             span_hashes,
             source,
             bmt_builder: None,
-            filter_cache: Mutex::new(MemoCache::new(cache.filter_cache_bytes)),
-            smt_cache: Mutex::new(MemoCache::new(cache.smt_cache_bytes)),
+            memos: Memos::new(params.cache_config()),
         })
     }
 
@@ -469,7 +504,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
         &self.source
     }
 
-    /// Re-sizes both memo caches to `cache`'s budgets, dropping every
+    /// Re-sizes every memo cache to `cache`'s budgets, dropping every
     /// cached entry (the hit/miss counters keep counting).
     ///
     /// Cache budgets are operational, not protocol: a chain loaded from
@@ -477,12 +512,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// re-sizes it here before serving.
     pub fn set_cache_config(&mut self, cache: CacheConfig) {
         self.params = self.params.with_cache_config(cache);
-        self.filter_cache
-            .lock()
-            .reset_with_budget(cache.filter_cache_bytes);
-        self.smt_cache
-            .lock()
-            .reset_with_budget(cache.smt_cache_bytes);
+        self.memos.reset_with_budgets(cache);
         self.tables.set_cache_budget(cache.index_node_cache_bytes);
     }
 
@@ -519,8 +549,8 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// from both the block source and all derived state: headers,
     /// address tables, BMT span hashes whose span reaches above
     /// `height`, the live BMT builder (rebuilt lazily from the
-    /// surviving span hashes on the next extension), and both memo
-    /// caches.
+    /// surviving span hashes on the next extension), and every memo
+    /// cache.
     ///
     /// Derived state is truncated *before* the block source, mirroring
     /// the forward durability rule (the store always leads): if the
@@ -544,8 +574,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
         self.headers.truncate(height as usize);
         self.span_hashes.retain(|&(_, hi), _| hi <= height);
         self.bmt_builder = None;
-        self.filter_cache.lock().clear();
-        self.smt_cache.lock().clear();
+        self.memos.clear();
         self.tables.clear_cache();
         self.source.truncate(height)?;
         Ok(())
@@ -678,7 +707,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// Memoised recursion behind [`Chain::span_filter`]; bounds already
     /// checked.
     fn span_filter_memo(&self, lo: u64, hi: u64) -> Result<BloomFilter, ChainError> {
-        if let Some(hit) = self.filter_cache.lock().get(&(lo, hi)) {
+        if let Some(hit) = self.memos.filters.lock().get(&(lo, hi)) {
             return Ok(hit);
         }
         let filter = if lo == hi {
@@ -694,7 +723,10 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             BloomFilter::union(&left, &right).expect("halves share the chain's params")
         };
         let size = filter.params().size_bytes() as usize;
-        self.filter_cache.lock().put((lo, hi), filter.clone(), size);
+        self.memos
+            .filters
+            .lock()
+            .put((lo, hi), filter.clone(), size);
         Ok(filter)
     }
 
@@ -713,7 +745,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// [`ChainError::Smt`] if the block's table cannot form a tree.
     pub fn address_smt(&self, height: u64) -> Result<Arc<SortedMerkleTree>, ChainError> {
         self.index(height)?;
-        if let Some(hit) = self.smt_cache.lock().get(&height) {
+        if let Some(hit) = self.memos.smts.lock().get(&height) {
             return Ok(hit);
         }
         let table = self.tables.table(height)?;
@@ -733,27 +765,58 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             .map(|(addr, _)| addr.as_bytes().len() + 8 + 64)
             .sum::<usize>()
             + 64;
-        self.smt_cache.lock().put(height, smt.clone(), size);
+        self.memos.smts.lock().put(height, smt.clone(), size);
         Ok(smt)
+    }
+
+    /// The transaction Merkle tree of `block`, the block at `height`,
+    /// served from the bounded per-block memo that sits beside the SMT
+    /// cache under [`CacheConfig::smt_cache_bytes`].
+    ///
+    /// A miss hashes every transaction and interior node once
+    /// ([`Block::tx_tree`]); a hit hashes nothing, so repeated queries
+    /// over the same block pay only for their branches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChainError::UnknownHeight`] outside `1..=tip` and
+    /// [`ChainError::CommitmentMismatch`] if `block` does not carry the
+    /// stored header at `height` — a tree built from another block
+    /// must never be memoised under this height.
+    pub fn tx_tree(&self, height: u64, block: &Block) -> Result<Arc<MerkleTree>, ChainError> {
+        if block.header != *self.header(height)? {
+            return Err(ChainError::CommitmentMismatch {
+                height,
+                what: "stored header",
+            });
+        }
+        if let Some(hit) = self.memos.tx_trees.lock().get(&height) {
+            return Ok(hit);
+        }
+        let tree = Arc::new(block.tx_tree());
+        // Every level together holds fewer than twice the leaves.
+        let size = 2 * tree.len() * std::mem::size_of::<Hash256>() + 64;
+        self.memos.tx_trees.lock().put(height, tree.clone(), size);
+        Ok(tree)
     }
 
     /// Hit/miss and occupancy statistics of the chain's memo caches and
     /// the block source's cache.
     pub fn cache_stats(&self) -> ChainCacheStats {
         ChainCacheStats {
-            filters: self.filter_cache.lock().stats(),
-            smts: self.smt_cache.lock().stats(),
+            filters: self.memos.filters.lock().stats(),
+            smts: self.memos.smts.lock().stats(),
+            tx_trees: self.memos.tx_trees.lock().stats(),
             blocks: self.source.cache_stats(),
             index_nodes: self.tables.cache_stats(),
         }
     }
 
-    /// Empties every chain-side cache — the two memo caches and the
-    /// table source's node cache (hit/miss counters keep counting) —
-    /// lets experiments measure cold-cache behaviour on a warm chain.
+    /// Empties every chain-side cache — the memo caches and the table
+    /// source's node cache (hit/miss counters keep counting) — lets
+    /// experiments measure cold-cache behaviour on a warm chain.
     pub fn clear_caches(&self) {
-        self.filter_cache.lock().clear();
-        self.smt_cache.lock().clear();
+        self.memos.clear();
         self.tables.clear_cache();
     }
 
@@ -1042,6 +1105,25 @@ mod tests {
         // Too small to hold a filter: still correct, never caches.
         chain.span_filter(1, 8).unwrap();
         assert_eq!(chain.cache_stats().filters.entries, 0);
+    }
+
+    #[test]
+    fn tx_tree_memo_hits_and_refuses_a_foreign_block() {
+        let chain = small_chain(CacheConfig::default());
+        let block = chain.block(3).unwrap();
+        let first = chain.tx_tree(3, &block).unwrap();
+        let again = chain.tx_tree(3, &block).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(*first, block.tx_tree());
+        let stats = chain.cache_stats().tx_trees;
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // Another height's block is refused, never memoised here.
+        assert!(matches!(
+            chain.tx_tree(3, &chain.block(4).unwrap()),
+            Err(ChainError::CommitmentMismatch { height: 3, .. })
+        ));
+        chain.clear_caches();
+        assert_eq!(chain.cache_stats().tx_trees.entries, 0);
     }
 
     #[test]

@@ -58,18 +58,21 @@ impl CommitmentPolicy {
 
 /// Byte budgets for the chain's memo caches.
 ///
-/// The span-filter cache holds recomputed dyadic-span Bloom filters;
-/// the SMT cache holds per-block sorted Merkle trees. Both are pure
-/// memoisation — any budget (including zero) yields identical query
-/// results, only recomputation cost changes — so a server operator can
-/// size them to the workload instead of accepting fixed defaults.
+/// The span-filter cache holds recomputed dyadic-span Bloom filters.
+/// The SMT budget sizes two per-block memos side by side: the sorted
+/// Merkle trees, and the transaction Merkle trees existence proofs take
+/// their branches from. All are pure memoisation — any budget
+/// (including zero) yields identical query results, only recomputation
+/// cost changes — so a server operator can size them to the workload
+/// instead of accepting fixed defaults.
 ///
 /// # Examples
 ///
 /// ```
 /// use lvq_chain::CacheConfig;
 ///
-/// // A memory-constrained edge node: 16 MB of filters, 4 MB of SMTs.
+/// // A memory-constrained edge node: 16 MB of filters, 4 MB each of
+/// // SMTs and transaction trees.
 /// let cfg = CacheConfig::new(16 << 20, 4 << 20);
 /// assert!(cfg.filter_cache_bytes < CacheConfig::default().filter_cache_bytes);
 /// ```
@@ -77,7 +80,8 @@ impl CommitmentPolicy {
 pub struct CacheConfig {
     /// Byte budget for the dyadic-span Bloom filter cache.
     pub filter_cache_bytes: usize,
-    /// Byte budget for the per-block SMT cache.
+    /// Byte budget for each per-block memo: the SMT cache, and beside
+    /// it the transaction Merkle tree cache.
     pub smt_cache_bytes: usize,
     /// Byte budget for the authenticated index's node cache (ignored by
     /// table sources without one, e.g. the in-memory default).
@@ -115,8 +119,8 @@ impl CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// The historical defaults: 256 MB of span filters, 64 MB of SMTs,
-    /// 64 MB of index nodes.
+    /// The historical defaults: 256 MB of span filters, 64 MB each of
+    /// SMTs and transaction trees, 64 MB of index nodes.
     fn default() -> Self {
         CacheConfig::new(256 * 1024 * 1024, 64 * 1024 * 1024)
     }

@@ -385,7 +385,7 @@ pub struct ServeOptions {
     pub max_requests: Option<u64>,
     /// Byte budget for the dyadic-span Bloom filter cache.
     pub filter_cache: Option<usize>,
-    /// Byte budget for the per-block SMT cache.
+    /// Byte budget for each per-block memo (SMTs, transaction trees).
     pub smt_cache: Option<usize>,
     /// Worker threads in the serving pool (0 = one per CPU).
     pub workers: usize,

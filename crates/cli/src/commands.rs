@@ -671,9 +671,10 @@ fn print_serve_report(
     };
     writeln!(
         out,
-        "caches       : filters {}, smts {}, blocks {}, index {}",
+        "caches       : filters {}, smts {}, tx trees {}, blocks {}, index {}",
         cache_cell(&caches.filters),
         cache_cell(&caches.smts),
+        cache_cell(&caches.tx_trees),
         cache_cell(&caches.blocks),
         cache_cell(&caches.index_nodes)
     )?;
@@ -1090,6 +1091,7 @@ mod tests {
         );
         assert!(text.contains("latency      : p50 "), "{text}");
         assert!(text.contains("caches       : filters "), "{text}");
+        assert!(text.contains(", tx trees "), "{text}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -159,13 +159,14 @@ pub enum QueryError {
     /// The failed-leaf set of a BMT proof does not match the fragments
     /// supplied for the segment.
     FragmentSetMismatch,
-    /// A Merkle branch did not verify against the committed root.
+    /// A Merkle branch did not verify against the committed root, or
+    /// named a leaf index its depth cannot reach.
     InvalidMerkleBranch {
         /// Height of the offending block.
         height: u64,
     },
-    /// Two fragments proved the same transaction slot (an attempt to
-    /// satisfy an SMT count by duplicating one transaction).
+    /// One block's fragment proved the same transaction twice (an
+    /// attempt to satisfy an SMT count by duplicating one transaction).
     DuplicateTransaction {
         /// Height of the offending block.
         height: u64,

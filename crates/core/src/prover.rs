@@ -372,13 +372,13 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         Ok(match (self.config.scheme(), existent) {
             // Existent cases.
             (Scheme::Strawman, true) => {
-                BlockFragment::MerkleBranches(self.branches_for(&block, &indices))
+                BlockFragment::MerkleBranches(self.branches_for(height, &block, &indices)?)
             }
             (Scheme::LvqWithoutBmt | Scheme::Lvq, true) => {
                 let smt = self.chain.address_smt(height)?;
                 BlockFragment::Existence(ExistenceProof {
                     smt: smt.prove(address.as_bytes()),
-                    transactions: self.branches_for(&block, &indices),
+                    transactions: self.branches_for(height, &block, &indices)?,
                 })
             }
             (Scheme::LvqWithoutSmt, true) => {
@@ -395,15 +395,20 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         })
     }
 
-    fn branches_for(&self, block: &lvq_chain::Block, indices: &[usize]) -> Vec<TxWithBranch> {
-        let tree = block.tx_tree();
-        indices
+    fn branches_for(
+        &self,
+        height: u64,
+        block: &lvq_chain::Block,
+        indices: &[usize],
+    ) -> Result<Vec<TxWithBranch>, ProveError> {
+        let tree = self.chain.tx_tree(height, block)?;
+        Ok(indices
             .iter()
             .map(|&i| TxWithBranch {
                 transaction: block.transactions[i].clone(),
                 branch: tree.branch(i).expect("index from the same block"),
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -454,4 +459,111 @@ fn failed_leaves(node: &BmtProofNode, lo: u64, hi: u64) -> Vec<u64> {
     let mut out = Vec::new();
     walk(node, lo, hi, &mut out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verifier::LightClient;
+    use lvq_bloom::BloomParams;
+    use lvq_chain::{CacheConfig, ChainBuilder, Transaction};
+    use lvq_codec::Encodable;
+
+    fn config(scheme: Scheme) -> SchemeConfig {
+        SchemeConfig::new(scheme, BloomParams::new(128, 2).unwrap(), 4).unwrap()
+    }
+
+    fn payee() -> Address {
+        Address::new("1Payee")
+    }
+
+    /// Block `h` holds a miner coinbase plus payments of `values[h - 1]`
+    /// and one more to the payee: three leaves, so the payee's first
+    /// branch climbs through the hash of its second.
+    fn chain_paying(config: SchemeConfig, values: &[u64], cache: CacheConfig) -> Chain {
+        let params = config.chain_params().with_cache_config(cache);
+        let mut builder = ChainBuilder::new(params).unwrap();
+        for (i, &value) in values.iter().enumerate() {
+            let h = i as u32 + 1;
+            builder
+                .push_block(vec![
+                    Transaction::coinbase(Address::new("1Miner"), 50, h),
+                    Transaction::coinbase(payee(), value, 100 + h),
+                    Transaction::coinbase(payee(), value + 1, 200 + h),
+                ])
+                .unwrap();
+        }
+        builder.finish()
+    }
+
+    #[test]
+    fn reorg_drops_memoised_tx_trees() {
+        // Canonical and winner differ only in the payment values from
+        // height 6 on: same addresses and counts, so the same filters
+        // and SMTs. Only the transaction trees tell the blocks apart.
+        let config = config(Scheme::Lvq);
+        let mut chain = chain_paying(config, &[10; 8], CacheConfig::default());
+        let winner = chain_paying(
+            config,
+            &[10, 10, 10, 10, 10, 99, 99, 99],
+            CacheConfig::default(),
+        );
+        Prover::new(&chain, config)
+            .unwrap()
+            .respond(&payee())
+            .unwrap();
+        assert_eq!(chain.cache_stats().tx_trees.entries, 8);
+
+        let branch: Vec<_> = (6..=8).map(|h| winner.block(h).unwrap()).collect();
+        chain.reorg_to(5, &branch).unwrap();
+        let (response, _) = Prover::new(&chain, config)
+            .unwrap()
+            .respond(&payee())
+            .unwrap();
+        let history = LightClient::new(config, winner.headers())
+            .verify(&payee(), &response)
+            .unwrap();
+        assert_eq!(history.transactions, winner.history_of(&payee()));
+    }
+
+    #[test]
+    fn responses_are_identical_with_and_without_memos() {
+        let values = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+        let addresses = [payee(), Address::new("1Miner"), Address::new("1Nobody")];
+        for scheme in Scheme::ALL {
+            let config = config(scheme);
+            let memoised = chain_paying(config, &values, CacheConfig::default());
+            let bare = chain_paying(config, &values, CacheConfig::disabled());
+            let memoised = Prover::new(&memoised, config).unwrap();
+            let bare = Prover::new(&bare, config).unwrap();
+            // Twice over, so the second round answers from warm memos.
+            for _ in 0..2 {
+                for address in &addresses {
+                    assert_eq!(
+                        memoised.respond(address).unwrap().0.encode(),
+                        bare.respond(address).unwrap().0.encode(),
+                        "{scheme:?} {address}"
+                    );
+                }
+                assert_eq!(
+                    memoised.respond_batch(&addresses).unwrap().0.encode(),
+                    bare.respond_batch(&addresses).unwrap().0.encode(),
+                    "{scheme:?} batch"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_query_hits_the_tx_tree_memo() {
+        let config = config(Scheme::Lvq);
+        let chain = chain_paying(config, &[10; 8], CacheConfig::default());
+        let prover = Prover::new(&chain, config).unwrap();
+        prover.respond(&payee()).unwrap();
+        let first = chain.cache_stats().tx_trees;
+        assert_eq!((first.hits, first.misses), (0, 8));
+        prover.respond(&payee()).unwrap();
+        let second = chain.cache_stats().tx_trees;
+        assert_eq!((second.hits, second.misses), (8, 8));
+    }
 }

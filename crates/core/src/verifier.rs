@@ -667,20 +667,28 @@ impl LightClient {
         header: &BlockHeader,
         txs: &[crate::fragment::TxWithBranch],
     ) -> Result<(), QueryError> {
-        let mut seen_slots: BTreeSet<u64> = BTreeSet::new();
+        let mut seen_txids = BTreeSet::new();
         for item in txs {
             if !item.transaction.involves(address) {
                 return Err(QueryError::UninvolvedTransaction { height });
             }
-            if !item
-                .branch
-                .verify(&item.transaction.txid(), &header.merkle_root)
-            {
+            // A branch of depth d names one of 2^d leaves; the index
+            // bits above d never enter the hash, so an index past that
+            // range aliases an in-range slot. (A depth-64 branch, which
+            // decoding admits, names every u64.)
+            let depth = item.branch.siblings().len() as u32;
+            if item.branch.leaf_index().checked_shr(depth).unwrap_or(0) != 0 {
                 return Err(QueryError::InvalidMerkleBranch { height });
             }
-            // Distinct tree slots: the same transaction cannot be
-            // counted twice to satisfy an SMT count.
-            if !seen_slots.insert(item.branch.leaf_index()) {
+            let txid = item.transaction.txid();
+            if !item.branch.verify(&txid, &header.merkle_root) {
+                return Err(QueryError::InvalidMerkleBranch { height });
+            }
+            // Distinct transactions: one cannot be counted twice to
+            // satisfy an SMT count, not even from two slots — a block
+            // with an odd count duplicates its last leaf (CVE-2012-2459),
+            // so leaf n - 1 also proves at index n.
+            if !seen_txids.insert(txid) {
                 return Err(QueryError::DuplicateTransaction { height });
             }
         }

@@ -6,11 +6,13 @@ use lvq_crypto::Hash256;
 /// A Bitcoin-style binary Merkle tree.
 ///
 /// Levels with an odd number of nodes duplicate their last node, exactly
-/// as Bitcoin does. (Bitcoin's duplication rule permits known benign
-/// mutations of the *tree*, CVE-2012-2459; branch verification here pins
-/// the leaf **index** and the workspace's verifiers additionally bound
-/// indices by committed counts, so the mutation does not affect proof
-/// soundness.)
+/// as Bitcoin does. That rule makes branches alias (CVE-2012-2459): in a
+/// tree of `n` leaves with `n` odd, leaf `n - 1`'s siblings also verify
+/// it at index `n`, and [`MerkleBranch::compute_root`] ignores index bits
+/// above the branch depth. No header commits a transaction count, so a
+/// verifier cannot bound indices by one; it must instead reject indices
+/// at or past `2^depth` and count *distinct transactions*, never
+/// distinct indices (as `lvq-core`'s light client does).
 ///
 /// An empty tree has the all-zero root; blocks always contain a coinbase
 /// transaction, so this case never occurs on a well-formed chain.
@@ -247,6 +249,21 @@ mod tests {
         assert!(!b.verify(&l[3], &t.root()));
         let moved = MerkleBranch::from_parts(3, b.siblings().to_vec());
         assert!(!moved.verify(&l[2], &t.root()));
+    }
+
+    #[test]
+    fn branches_alias_past_the_end_and_above_the_depth() {
+        // What a verifier must guard against itself: the duplicated last
+        // leaf of an odd level, and index bits above the depth, both
+        // re-prove a leaf at a second index.
+        let l = leaves(3);
+        let t = MerkleTree::from_leaves(l.clone());
+        let b = t.branch(2).unwrap();
+        let past_end = MerkleBranch::from_parts(3, b.siblings().to_vec());
+        assert!(past_end.verify(&l[2], &t.root()));
+        let above_depth =
+            MerkleBranch::from_parts(2 + (1 << b.siblings().len()), b.siblings().to_vec());
+        assert!(above_depth.verify(&l[2], &t.root()));
     }
 
     #[test]

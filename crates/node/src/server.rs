@@ -1037,6 +1037,17 @@ impl<P: ServeNode> EventLoop<P> {
                         let index = t - TOKEN_BASE;
                         if event.is_writable() {
                             self.flush(index);
+                            // A v1 request parked behind the reply that
+                            // just drained is parseable now. (Not from
+                            // `flush` itself: `advance` reaches it.)
+                            let drained = self
+                                .conns
+                                .get(index)
+                                .and_then(Option::as_ref)
+                                .is_some_and(|conn| conn.out.is_empty());
+                            if drained {
+                                self.advance(index);
+                            }
                         }
                         if event.is_readable() || event.is_error() {
                             self.read_ready(index);

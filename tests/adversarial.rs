@@ -4,7 +4,9 @@
 //! verdict — including the one *documented gap*: the strawman cannot
 //! detect omitted transactions (Challenge 3).
 
-use lvq::core::{BlockFragment, ExistenceProof, QueryError, QueryResponse, SegmentedResponse};
+use lvq::core::{
+    BlockFragment, ExistenceProof, QueryError, QueryResponse, SegmentedResponse, TxWithBranch,
+};
 use lvq::merkle::bmt::BmtProofNode;
 use lvq::merkle::{BmtProof, SmtProofKind};
 use lvq::prelude::*;
@@ -345,6 +347,89 @@ fn duplicated_transaction_rejected() {
     let err = s.client.verify(&s.address, &s.response).unwrap_err();
     assert!(
         matches!(err, QueryError::DuplicateTransaction { .. }),
+        "{err}"
+    );
+}
+
+// --- (i, cont.) padding a count through an aliased Merkle slot ----------
+
+#[test]
+fn index_above_branch_depth_rejected() {
+    // Prove one transaction twice in place of another: the copy's
+    // index differs only in a bit above the branch depth, which the
+    // root computation never reads, so its slot looks distinct.
+    let mut s = scenario(Scheme::Lvq);
+    let segmented = as_segmented(&mut s.response);
+    let existence = segmented
+        .segments
+        .iter_mut()
+        .flat_map(|bundle| bundle.fragments.iter_mut())
+        .find_map(|(_, fragment)| match fragment {
+            BlockFragment::Existence(proof) if proof.transactions.len() > 1 => Some(proof),
+            _ => None,
+        })
+        .expect("victim has a block with several transactions");
+    let copy = existence.transactions[0].clone();
+    let siblings = copy.branch.siblings().to_vec();
+    let aliased = copy.branch.leaf_index() + (1 << siblings.len());
+    existence.transactions[1] = TxWithBranch {
+        transaction: copy.transaction,
+        branch: MerkleBranch::from_parts(aliased, siblings),
+    };
+    let err = s.client.verify(&s.address, &s.response).unwrap_err();
+    assert!(
+        matches!(err, QueryError::InvalidMerkleBranch { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn duplicated_last_leaf_rejected() {
+    // Bitcoin's odd-level duplication (CVE-2012-2459): in a block of
+    // three transactions, the last one's branch also verifies at index
+    // 3, inside the branch depth. Proving it there in place of the
+    // victim's other transaction keeps the count and the slots apart.
+    let config = SchemeConfig::new(Scheme::Lvq, BloomParams::new(640, 2).unwrap(), 4).unwrap();
+    let victim = Address::new("1VictimAddress");
+    let mut builder = ChainBuilder::new(config.chain_params()).unwrap();
+    for h in 1..=4u32 {
+        let mut txs = vec![Transaction::coinbase(Address::new("1Miner"), 50, h)];
+        if h == 3 {
+            txs.push(Transaction::coinbase(victim.clone(), 10, 300));
+            txs.push(Transaction::coinbase(victim.clone(), 20, 301));
+        }
+        builder.push_block(txs).unwrap();
+    }
+    let chain = builder.finish();
+    let (mut response, _) = Prover::from_chain(&chain)
+        .unwrap()
+        .respond(&victim)
+        .unwrap();
+    let client = LightClient::new(config, chain.headers());
+    assert_eq!(
+        client
+            .verify(&victim, &response)
+            .unwrap()
+            .transactions
+            .len(),
+        2
+    );
+
+    let existence = first_existence(as_segmented(&mut response));
+    let last = existence.transactions[1].clone();
+    assert_eq!(last.branch.leaf_index(), 2);
+    let alias = MerkleBranch::from_parts(3, last.branch.siblings().to_vec());
+    assert!(alias.verify(
+        &last.transaction.txid(),
+        &chain.header(3).unwrap().merkle_root
+    ));
+    existence.transactions[0] = TxWithBranch {
+        transaction: last.transaction,
+        branch: alias,
+    };
+    let err = client.verify(&victim, &response).unwrap_err();
+    assert!(
+        matches!(err, QueryError::DuplicateTransaction { height: 3 }),
         "{err}"
     );
 }

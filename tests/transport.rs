@@ -369,6 +369,37 @@ fn reader_that_never_drains_is_evicted() {
     assert_eq!((stats.requests, stats.errors), (1, 1));
 }
 
+/// A v1 request that arrives behind a reply larger than the socket
+/// buffers waits, unparsed, until that reply has drained — and must be
+/// served then, not dropped later as a peer stalled mid-frame.
+#[test]
+fn v1_request_parked_behind_a_large_reply_is_served() {
+    let server =
+        NodeServer::bind(Arc::new(BlobNode), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut two_frames = Vec::new();
+    for _ in 0..2 {
+        two_frames.extend_from_slice(&1u32.to_le_bytes());
+        two_frames.push(PROTOCOL_VERSION);
+    }
+    stream.write_all(&two_frames).unwrap();
+    // Let the first reply fill the socket buffers, so its tail drains
+    // through writable events.
+    std::thread::sleep(Duration::from_millis(50));
+    let mut blob = vec![0u8; BLOB_LEN];
+    for reply in 0..2 {
+        let mut header = [0u8; 4];
+        stream
+            .read_exact(&mut header)
+            .unwrap_or_else(|e| panic!("reply {reply}: {e}"));
+        assert_eq!(header, (BLOB_LEN as u32).to_le_bytes());
+        stream.read_exact(&mut blob).unwrap();
+    }
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (2, 0));
+}
+
 /// A chain of coinbase-only blocks up to `blocks`; equal prefixes give
 /// equal headers, so a longer chain is a true extension of a shorter
 /// one.
