@@ -1,5 +1,6 @@
 //! The assembled [`Chain`] and its lazy BMT access.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -67,9 +68,12 @@ pub struct ChainCacheStats {
 /// A bounded FIFO memo cache with hit/miss counters.
 ///
 /// Entries carry an explicit byte size; inserting past the budget evicts
-/// in insertion order. FIFO (rather than LRU) keeps `put` O(1) and is
-/// good enough here: within one query the same span is rarely requested
-/// twice after eviction, and across queries the whole working set either
+/// in insertion order. FIFO (rather than LRU) keeps `put` O(1). It is
+/// not enough on its own within one query: a span-filter miss memoises
+/// a whole subtree, children before parents, so under a budget smaller
+/// than the subtree the FIFO evicts exactly the children the BMT
+/// descent asks for next. [`SegmentBmtSource`]'s per-descent stash
+/// serves those instead. Across queries the whole working set either
 /// fits or does not.
 #[derive(Debug)]
 struct MemoCache<K, V> {
@@ -157,7 +161,7 @@ impl<K: Eq + Hash + Copy, V: Clone> MemoCache<K, V> {
 #[derive(Debug)]
 struct Memos {
     /// Bloom filters, keyed by span (`(h, h)` for leaves).
-    filters: Mutex<MemoCache<(u64, u64), BloomFilter>>,
+    filters: Mutex<MemoCache<(u64, u64), Arc<BloomFilter>>>,
     /// Per-block SMTs, keyed by height.
     smts: Mutex<MemoCache<u64, Arc<SortedMerkleTree>>>,
     /// Per-block transaction Merkle trees, keyed by height; sized by
@@ -692,21 +696,28 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// A miss recomputes by halving the span at the BMT midpoint and
     /// unioning the halves, memoising every sub-span on the way up — so
     /// one cold segment descent leaves the whole node-filter working set
-    /// cached for subsequent queries.
+    /// cached for subsequent queries, budget permitting. This call keeps
+    /// nothing else; a [`SegmentBmtSource`] additionally stashes the
+    /// halves it rebuilt for the rest of its descent.
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::UnknownHeight`] if the range leaves the
-    /// chain.
+    /// Returns [`ChainError::InvertedSpan`] if `lo > hi` and
+    /// [`ChainError::UnknownHeight`] if the range leaves the chain.
     pub fn span_filter(&self, lo: u64, hi: u64) -> Result<BloomFilter, ChainError> {
-        self.index(lo)?;
-        self.index(hi)?;
-        self.span_filter_memo(lo, hi)
+        self.check_span(lo, hi)?;
+        Ok(Arc::unwrap_or_clone(self.span_filter_memo(lo, hi, None)?))
     }
 
-    /// Memoised recursion behind [`Chain::span_filter`]; bounds already
-    /// checked.
-    fn span_filter_memo(&self, lo: u64, hi: u64) -> Result<BloomFilter, ChainError> {
+    /// Memoised recursion behind [`Chain::span_filter`] and
+    /// [`SegmentBmtSource`]; bounds already checked. Every span rebuilt
+    /// from its halves puts both halves into `stash`, when given one.
+    fn span_filter_memo(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut stash: Option<&mut SpanStash>,
+    ) -> Result<Arc<BloomFilter>, ChainError> {
         if let Some(hit) = self.memos.filters.lock().get(&(lo, hi)) {
             return Ok(hit);
         }
@@ -718,15 +729,21 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             filter
         } else {
             let mid = lo + (hi - lo) / 2;
-            let left = self.span_filter_memo(lo, mid)?;
-            let right = self.span_filter_memo(mid + 1, hi)?;
-            BloomFilter::union(&left, &right).expect("halves share the chain's params")
+            let left = self.span_filter_memo(lo, mid, stash.as_deref_mut())?;
+            let right = self.span_filter_memo(mid + 1, hi, stash.as_deref_mut())?;
+            let union = BloomFilter::union(&left, &right).expect("halves share the chain's params");
+            if let Some(stash) = stash {
+                stash.insert((lo, mid), left);
+                stash.insert((mid + 1, hi), right);
+            }
+            union
         };
         let size = filter.params().size_bytes() as usize;
+        let filter = Arc::new(filter);
         self.memos
             .filters
             .lock()
-            .put((lo, hi), filter.clone(), size);
+            .put((lo, hi), Arc::clone(&filter), size);
         Ok(filter)
     }
 
@@ -831,15 +848,15 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::UnknownHeight`] if the range leaves the
-    /// chain and [`ChainError::Bmt`] if the range is not dyadic.
+    /// Returns [`ChainError::InvertedSpan`] if `lo > hi`,
+    /// [`ChainError::UnknownHeight`] if the range leaves the chain and
+    /// [`ChainError::Bmt`] if the range is not dyadic.
     pub fn segment_source(
         &self,
         lo: u64,
         hi: u64,
     ) -> Result<SegmentBmtSource<'_, S, T>, ChainError> {
-        self.index(lo)?;
-        self.index(hi)?;
+        self.check_span(lo, hi)?;
         let count = hi - lo + 1;
         if count & (count - 1) != 0 {
             return Err(ChainError::Bmt(
@@ -850,6 +867,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             chain: self,
             lo,
             hi,
+            stash: RefCell::default(),
         })
     }
 
@@ -998,6 +1016,15 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
         (height - count + 1, height)
     }
 
+    fn check_span(&self, lo: u64, hi: u64) -> Result<(), ChainError> {
+        if lo > hi {
+            return Err(ChainError::InvertedSpan { lo, hi });
+        }
+        self.index(lo)?;
+        self.index(hi)?;
+        Ok(())
+    }
+
     fn index(&self, height: u64) -> Result<usize, ChainError> {
         if height == 0 || height > self.tip_height() {
             return Err(ChainError::UnknownHeight { height });
@@ -1010,20 +1037,24 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
 ///
 /// `filter` recomputes node filters from address sets; `node_hash` serves
 /// the hashes the chain stored while building.
+///
+/// Each source owns a stash for one descent: when a span-filter memo
+/// miss rebuilds a span from its halves, both halves go into the stash,
+/// sharing their `Arc` with the memo. `filter` takes a span out of the
+/// stash before it asks the memo, so each dyadic span filter is computed
+/// at most once per descent whatever the cache budget. The stash dies
+/// with the source; the source borrows the chain, so no rewind or cache
+/// resize can run while the stash lives.
 #[derive(Debug)]
 pub struct SegmentBmtSource<'a, S: BlockSource = InMemoryBlocks, T: TableSource = InMemoryTables> {
     chain: &'a Chain<S, T>,
     lo: u64,
     hi: u64,
+    stash: RefCell<SpanStash>,
 }
 
-impl<S: BlockSource, T: TableSource> Clone for SegmentBmtSource<'_, S, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<S: BlockSource, T: TableSource> Copy for SegmentBmtSource<'_, S, T> {}
+/// Span filters a memo miss rebuilt as halves of a wider span.
+type SpanStash = HashMap<(u64, u64), Arc<BloomFilter>>;
 
 impl<S: BlockSource, T: TableSource> BmtSource for SegmentBmtSource<'_, S, T> {
     fn params(&self) -> lvq_bloom::BloomParams {
@@ -1035,9 +1066,16 @@ impl<S: BlockSource, T: TableSource> BmtSource for SegmentBmtSource<'_, S, T> {
     }
 
     fn filter(&self, lo: u64, hi: u64) -> BloomFilter {
-        self.chain
-            .span_filter(lo, hi)
-            .expect("source span inside chain")
+        let mut stash = self.stash.borrow_mut();
+        let filter = match stash.remove(&(lo, hi)) {
+            Some(kept) => kept,
+            None => self
+                .chain
+                .check_span(lo, hi)
+                .and_then(|()| self.chain.span_filter_memo(lo, hi, Some(&mut stash)))
+                .expect("source span inside chain"),
+        };
+        Arc::unwrap_or_clone(filter)
     }
 
     fn node_hash(&self, lo: u64, hi: u64) -> Hash256 {
@@ -1054,6 +1092,7 @@ mod tests {
     use crate::params::CommitmentPolicy;
     use crate::transaction::Transaction;
     use lvq_bloom::BloomParams;
+    use lvq_merkle::bmt;
 
     fn small_chain(cache: CacheConfig) -> Chain {
         let params = ChainParams::new(
@@ -1105,6 +1144,71 @@ mod tests {
         // Too small to hold a filter: still correct, never caches.
         chain.span_filter(1, 8).unwrap();
         assert_eq!(chain.cache_stats().filters.entries, 0);
+    }
+
+    #[test]
+    fn an_inverted_span_is_an_error() {
+        let chain = small_chain(CacheConfig::default());
+        assert_eq!(
+            chain.span_filter(5, 3),
+            Err(ChainError::InvertedSpan { lo: 5, hi: 3 })
+        );
+        assert!(matches!(
+            chain.segment_source(5, 3),
+            Err(ChainError::InvertedSpan { lo: 5, hi: 3 })
+        ));
+    }
+
+    /// Dyadic spans of an 8-leaf segment: `2n − 1`.
+    const SEGMENT_SPANS: u64 = 2 * 8 - 1;
+
+    /// Filter-memo misses one descent over the segment `1..=8` of
+    /// [`small_chain`] adds under `cache`. Every block holds `1Miner`, so
+    /// a descent for it fails every node and visits all 15 spans.
+    fn descent_misses(cache: CacheConfig, prove: impl FnOnce(&SegmentBmtSource<'_>)) -> u64 {
+        let chain = small_chain(cache);
+        let before = chain.cache_stats().filters.misses;
+        prove(&chain.segment_source(1, 8).unwrap());
+        chain.cache_stats().filters.misses - before
+    }
+
+    /// Budgets the stash must serve: nothing memoised, and exactly one
+    /// filter (the FIFO keeps the parent and has evicted its children).
+    fn starved_budgets() -> [CacheConfig; 2] {
+        let one_filter = BloomParams::new(128, 2).unwrap().size_bytes() as usize;
+        [CacheConfig::disabled(), CacheConfig::new(one_filter, 0)]
+    }
+
+    #[test]
+    fn one_bmt_prove_computes_each_span_filter_once() {
+        let params = BloomParams::new(128, 2).unwrap();
+        let miner = BloomFilter::bit_positions(params, b"1Miner");
+        let nobody = BloomFilter::bit_positions(params, b"1Nobody");
+        for cache in starved_budgets() {
+            let full = descent_misses(cache, |source| {
+                bmt::prove(source, &miner).unwrap();
+            });
+            assert_eq!(full, SEGMENT_SPANS, "{cache:?}");
+            let clean = descent_misses(cache, |source| {
+                bmt::prove(source, &nobody).unwrap();
+            });
+            assert!(clean <= SEGMENT_SPANS, "{cache:?}: {clean} misses");
+        }
+    }
+
+    #[test]
+    fn one_bmt_prove_multi_computes_each_span_filter_once() {
+        let params = BloomParams::new(128, 2).unwrap();
+        let sets = [
+            BloomFilter::bit_positions(params, b"1Miner"),
+            BloomFilter::bit_positions(params, b"1Nobody"),
+        ];
+        for cache in starved_budgets() {
+            let misses = descent_misses(cache, |source| {
+                bmt::prove_multi(source, &sets).unwrap();
+            });
+            assert_eq!(misses, SEGMENT_SPANS, "{cache:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,13 @@ pub enum ChainError {
         /// The requested height.
         height: u64,
     },
+    /// A block range `lo..=hi` was requested with `lo > hi`.
+    InvertedSpan {
+        /// The requested first height.
+        lo: u64,
+        /// The requested last height.
+        hi: u64,
+    },
     /// Validation found a header whose previous-block hash does not
     /// match its predecessor.
     BrokenChainLink {
@@ -70,6 +77,9 @@ impl fmt::Display for ChainError {
                 f.write_str("block's first transaction is not a coinbase")
             }
             ChainError::UnknownHeight { height } => write!(f, "no block at height {height}"),
+            ChainError::InvertedSpan { lo, hi } => {
+                write!(f, "span {lo}..={hi} ends before it starts")
+            }
             ChainError::BrokenChainLink { height } => {
                 write!(f, "previous-block hash mismatch at height {height}")
             }
