@@ -4,20 +4,23 @@
 //! repro <experiment> [--scale small|paper] [--seed N]
 //!
 //! experiments: all, table1, table2, table3, fig12, fig13, fig14,
-//!              fig15, fig16, storage, ksweep, latency, throughput,
-//!              concurrent, pool, quorum, coldstart, chaos, ingest,
-//!              crashloop, reopen, reorg
+//!              fig15, fig16, storage, ksweep, quorum, chaos,
+//!              crashloop, reorg
 //! ```
 //!
 //! `fig13`/`fig14`/`fig15` share one filter-size sweep; asking for any
 //! of them prints all three (they are views of the same runs).
+//!
+//! The paper experiments report result bytes; `quorum`, `chaos`,
+//! `crashloop` and `reorg` hard-assert serving invariants and exit
+//! nonzero on a violation. Wall-clock numbers come from the
+//! `perfbench` package, not from here.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use lvq_bench::experiments::{
-    bf_sweep, chaos, coldstart, concurrent, crashloop, fig12, fig16, ingest, k_sweep, latency,
-    pool, quorum, reopen, reorg, storage, tables, throughput,
+    bf_sweep, chaos, crashloop, fig12, fig16, k_sweep, quorum, reorg, storage, tables,
 };
 use lvq_bench::Scale;
 
@@ -27,7 +30,8 @@ struct Options {
     seed: u64,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line; `Ok(None)` asks for the usage text.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut args = std::env::args().skip(1);
     let mut experiment = None;
     let mut scale = Scale::Small;
@@ -42,20 +46,20 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--seed needs a value")?;
                 seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(None),
             other if experiment.is_none() => experiment = Some(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    Ok(Options {
+    Ok(Some(Options {
         experiment: experiment.unwrap_or_else(|| "all".to_string()),
         scale,
         seed,
-    })
+    }))
 }
 
 const USAGE: &str =
-    "usage: repro <all|table1|table2|table3|fig12|fig13|fig14|fig15|fig16|storage|ksweep|latency|throughput|concurrent|pool|quorum|coldstart|chaos|ingest|crashloop|reopen|reorg> \
+    "usage: repro <all|table1|table2|table3|fig12|fig13|fig14|fig15|fig16|storage|ksweep|quorum|chaos|crashloop|reorg> \
                      [--scale small|paper] [--seed N]";
 
 fn main() -> ExitCode {
@@ -73,7 +77,11 @@ fn main() -> ExitCode {
     }
 
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -137,38 +145,13 @@ fn main() -> ExitCode {
         matched = true;
         println!("{}", storage::run(opts.scale, opts.seed));
     }
-    if want("latency") {
-        matched = true;
-        println!("{}", latency::run(opts.scale, opts.seed));
-        println!();
-    }
     if want("ksweep") {
         matched = true;
         println!("{}", k_sweep::run(opts.scale, opts.seed));
     }
-    if want("throughput") {
-        matched = true;
-        println!("{}", throughput::run(opts.scale, opts.seed));
-        println!();
-    }
-    if want("concurrent") {
-        matched = true;
-        println!("{}", concurrent::run(opts.scale, opts.seed));
-        println!();
-    }
-    if want("pool") {
-        matched = true;
-        println!("{}", pool::run(opts.scale, opts.seed));
-        println!();
-    }
     if want("quorum") {
         matched = true;
         println!("{}", quorum::run(opts.scale, opts.seed));
-        println!();
-    }
-    if want("coldstart") {
-        matched = true;
-        println!("{}", coldstart::run(opts.scale, opts.seed));
         println!();
     }
     if want("chaos") {
@@ -176,20 +159,10 @@ fn main() -> ExitCode {
         println!("{}", chaos::run(opts.scale, opts.seed));
         println!();
     }
-    if want("ingest") {
-        matched = true;
-        println!("{}", ingest::run(opts.scale, opts.seed));
-        println!();
-    }
     if want("crashloop") {
         matched = true;
         let exe = std::env::current_exe().expect("own executable path");
         println!("{}", crashloop::run(opts.scale, opts.seed, &exe));
-        println!();
-    }
-    if want("reopen") {
-        matched = true;
-        println!("{}", reopen::run(opts.scale, opts.seed));
         println!();
     }
     if want("reorg") {

@@ -1,22 +1,18 @@
-//! One module per regenerated table/figure.
+//! One module per regenerated table/figure, plus four invariant
+//! experiments (`chaos`, `quorum`, `reorg`, `crashloop`) that
+//! hard-assert what a serving node must never do under faults, forks
+//! and crashes.
 
 pub mod bf_sweep;
 pub mod chaos;
-pub mod coldstart;
-pub mod concurrent;
 pub mod crashloop;
 pub mod fig12;
 pub mod fig16;
-pub mod ingest;
 pub mod k_sweep;
-pub mod latency;
-pub mod pool;
 pub mod quorum;
-pub mod reopen;
 pub mod reorg;
 pub mod storage;
 pub mod tables;
-pub mod throughput;
 
 use lvq_chain::Address;
 use lvq_core::{Completeness, LightClient, Prover, ProverStats, QueryResponse, Scheme};

@@ -52,8 +52,9 @@ use crate::workloads::{build_forked_workload, built_probes, WorkloadSpec};
 pub const MAX_REORG_DEPTH: u64 = 4;
 
 /// How long to wait for an asynchronous condition (ingest catch-up,
-/// reorg adoption) before giving up. Generous on purpose; see
-/// `experiments::ingest`.
+/// reorg adoption) before giving up. Generous on purpose: the
+/// ingester polls every couple of milliseconds, so in practice
+/// conditions resolve far sooner.
 const DEADLINE: Duration = Duration::from_secs(30);
 
 /// One reorg round: a branch out-lengthed the served tip, the node

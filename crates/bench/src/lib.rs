@@ -14,6 +14,11 @@
 //! | Fig. 16  | [`experiments::fig16`]  | endpoint count vs segment length |
 //! | (extra)  | [`experiments::storage`]| light-node storage per scheme |
 //!
+//! Four more modules — [`experiments::chaos`], [`experiments::quorum`],
+//! [`experiments::reorg`] and [`experiments::crashloop`] — hard-assert
+//! serving invariants instead of reporting a figure. Wall-clock
+//! measurements live in the separate `perfbench` package.
+//!
 //! Experiments run at two scales: [`Scale::Small`] (seconds, shapes
 //! only) and [`Scale::Paper`] (the paper's 4,096-block setup; minutes).
 //! The `repro` binary drives them: `repro all --scale paper`.

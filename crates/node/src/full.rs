@@ -1,13 +1,8 @@
 //! The full node.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use lvq_chain::{
-    BlockSource, Chain, ChainCacheStats, ChainError, InMemoryBlocks, InMemoryTables, TableSource,
-};
+use lvq_chain::{BlockSource, Chain, ChainError, InMemoryBlocks, InMemoryTables, TableSource};
 use lvq_codec::Encodable;
-use lvq_core::{Prover, ProverStats, SchemeConfig};
-use parking_lot::Mutex;
+use lvq_core::{Prover, SchemeConfig};
 
 use crate::message::{envelope, HelloInfo, Message, NodeError, WireError, WireErrorCode};
 
@@ -60,26 +55,6 @@ impl Handled {
     }
 }
 
-/// A point-in-time snapshot of a full node's query engine.
-///
-/// Combines the node's own request counters with the underlying chain's
-/// memo-cache statistics ([`Chain::cache_stats`]), so experiment
-/// harnesses can relate query throughput to cache behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryEngineStats {
-    /// Single-address queries answered.
-    pub queries: u64,
-    /// Batched queries answered.
-    pub batch_queries: u64,
-    /// Total addresses across all batched queries.
-    pub batch_addresses: u64,
-    /// Prover statistics of the most recent successfully answered
-    /// query (single or batched).
-    pub last: Option<ProverStats>,
-    /// Span-filter and per-block SMT cache statistics.
-    pub cache: ChainCacheStats,
-}
-
 /// A full node: the complete chain plus the query-answering engine.
 ///
 /// The byte-level entry point is [`FullNode::handle`], which transports
@@ -95,11 +70,6 @@ pub struct QueryEngineStats {
 pub struct FullNode<S: BlockSource = InMemoryBlocks, T: TableSource = InMemoryTables> {
     chain: Chain<S, T>,
     config: SchemeConfig,
-    /// Statistics of the most recent query, for experiment harnesses.
-    last_stats: Mutex<Option<ProverStats>>,
-    queries: AtomicU64,
-    batch_queries: AtomicU64,
-    batch_addresses: AtomicU64,
 }
 
 impl<S: BlockSource, T: TableSource> FullNode<S, T> {
@@ -112,14 +82,7 @@ impl<S: BlockSource, T: TableSource> FullNode<S, T> {
     pub fn new(chain: Chain<S, T>) -> Result<Self, NodeError> {
         let config =
             SchemeConfig::from_chain_params(chain.params()).ok_or(NodeError::UnknownScheme)?;
-        Ok(FullNode {
-            chain,
-            config,
-            last_stats: Mutex::new(None),
-            queries: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
-            batch_addresses: AtomicU64::new(0),
-        })
+        Ok(FullNode { chain, config })
     }
 
     /// The scheme this node serves.
@@ -131,23 +94,6 @@ impl<S: BlockSource, T: TableSource> FullNode<S, T> {
     /// in tests).
     pub fn chain(&self) -> &Chain<S, T> {
         &self.chain
-    }
-
-    /// Prover statistics of the most recent successfully answered query.
-    pub fn last_stats(&self) -> Option<ProverStats> {
-        *self.last_stats.lock()
-    }
-
-    /// Snapshot of the query engine: request counters plus chain-cache
-    /// hit/miss statistics.
-    pub fn engine_stats(&self) -> QueryEngineStats {
-        QueryEngineStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            batch_queries: self.batch_queries.load(Ordering::Relaxed),
-            batch_addresses: self.batch_addresses.load(Ordering::Relaxed),
-            last: *self.last_stats.lock(),
-            cache: self.chain.cache_stats(),
-        }
     }
 
     /// Absorbs up to `max` blocks the node's block source has gained
@@ -267,14 +213,10 @@ impl<S: BlockSource, T: TableSource> FullNode<S, T> {
                         Some((lo, hi)) => prover.respond_range(&address, lo, hi),
                     });
                 match outcome {
-                    Ok((response, stats)) => {
-                        *self.last_stats.lock() = Some(stats);
-                        self.queries.fetch_add(1, Ordering::Relaxed);
-                        (
-                            RequestKind::Query,
-                            Message::QueryResponse(Box::new(response)),
-                        )
-                    }
+                    Ok((response, _)) => (
+                        RequestKind::Query,
+                        Message::QueryResponse(Box::new(response)),
+                    ),
                     Err(_) => {
                         return Handled::refusal(
                             RequestKind::Query,
@@ -290,16 +232,10 @@ impl<S: BlockSource, T: TableSource> FullNode<S, T> {
                         Some((lo, hi)) => prover.respond_batch_range(&addresses, lo, hi),
                     });
                 match outcome {
-                    Ok((response, stats)) => {
-                        *self.last_stats.lock() = Some(stats);
-                        self.batch_queries.fetch_add(1, Ordering::Relaxed);
-                        self.batch_addresses
-                            .fetch_add(addresses.len() as u64, Ordering::Relaxed);
-                        (
-                            RequestKind::BatchQuery,
-                            Message::BatchQueryResponse(Box::new(response)),
-                        )
-                    }
+                    Ok((response, _)) => (
+                        RequestKind::BatchQuery,
+                        Message::BatchQueryResponse(Box::new(response)),
+                    ),
                     Err(_) => {
                         return Handled::refusal(
                             RequestKind::BatchQuery,

@@ -87,7 +87,7 @@ mod transport;
 
 pub use bandwidth::BandwidthModel;
 pub use faults::{FaultPlan, FaultStats, FaultyTransport};
-pub use full::{FullNode, Handled, QueryEngineStats, RequestKind, DEFAULT_MAX_IN_FLIGHT};
+pub use full::{FullNode, Handled, RequestKind, DEFAULT_MAX_IN_FLIGHT};
 pub use ingest::{
     BlockFeed, FeedError, FeedPublisher, FlakyFeed, IngestConfig, IngestError, IngestHandle,
     IngestMonitor, IngestStats, MemoryFeed, SupervisedIngest, TipIngester,

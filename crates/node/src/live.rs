@@ -67,7 +67,7 @@ impl<S: BlockSource, T: TableSource> LiveNode<S, T> {
     }
 
     /// Runs `f` against the node under the read lock — e.g. for
-    /// ground-truth checks or [`FullNode::engine_stats`]. The chain
+    /// ground-truth checks or the chain's cache statistics. The chain
     /// cannot advance while `f` runs; keep it short.
     pub fn with_node<R>(&self, f: impl FnOnce(&FullNode<S, T>) -> R) -> R {
         f(&self.inner.read())

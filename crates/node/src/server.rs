@@ -93,9 +93,9 @@ const TOKEN_BASE: usize = 2;
 /// Something a [`NodeServer`] can put behind its proof-worker pool.
 ///
 /// [`FullNode`] is the production implementation; experiment harnesses
-/// substitute adversarial nodes (e.g. a withholding peer for the
-/// `repro quorum` experiment, or a deliberately slow prover for the
-/// `repro pool` head-of-line-blocking check).
+/// and tests substitute adversarial nodes (e.g. a withholding peer for
+/// the `repro quorum` experiment, or a gated prover for the
+/// head-of-line-blocking test in `tests/pool.rs`).
 pub trait ServeNode: Send + Sync + 'static {
     /// Classifies and handles one request; never fails (faults become
     /// encoded [`Message::Error`] responses). See
@@ -856,7 +856,7 @@ impl<P: ServeNode> NodeServer<P> {
         health
     }
 
-    /// The served node, e.g. to read [`FullNode::engine_stats`]
+    /// The served node, e.g. to read its chain's cache statistics
     /// alongside [`NodeServer::stats`].
     pub fn full(&self) -> &Arc<P> {
         &self.shared.node

@@ -17,7 +17,8 @@ use lvq_chain::{Address, Block, BlockSource, Chain, ChainBuilder, TableSource, T
 use lvq_codec::Encodable;
 use lvq_core::{Prover, Scheme, SchemeConfig};
 use lvq_node::{
-    FullNode, IngestConfig, LiveNode, LocalTransport, MemoryFeed, Message, TipIngester, Transport,
+    FullNode, IngestConfig, LightNode, LiveNode, LocalTransport, MemoryFeed, Message, NodeServer,
+    QuerySpec, ResyncOutcome, ServerConfig, TcpTransport, TipIngester, Transport,
 };
 use lvq_store::{
     open_chain_indexed, AddrIndexRecovery, BlockStore, DiskBlockSource, IndexedTables, StoreConfig,
@@ -170,6 +171,65 @@ fn follow_the_tip_writes_the_index_and_reopens_with_point_reads() {
     .encode();
     let (reply, _) = LocalTransport::new(&full).exchange(&request).unwrap();
     assert_eq!(reply, full.handle(&request).unwrap());
+}
+
+/// A light client connected over TCP before ingest starts pins each
+/// query to the height it has verified. The server's tip is already
+/// ahead when the query runs, yet the answer is exactly ground truth cut
+/// at the pinned height; the client then catches up through
+/// `GetHeadersFrom` alone.
+#[test]
+fn tcp_client_pins_its_verified_height_while_the_tip_advances() {
+    const PREFIX: u64 = 6;
+    let (truth, blocks) = truth_chain(24);
+    let scratch = ScratchDir::new("tcp-pin");
+    let store_config = StoreConfig::default();
+    {
+        let store = BlockStore::create(scratch.path(), truth.params(), store_config).unwrap();
+        for block in &blocks[..PREFIX as usize] {
+            store.append(block).unwrap();
+        }
+    }
+
+    let (chain, _) = open_chain_indexed(scratch.path(), store_config).unwrap();
+    let store = Arc::clone(chain.source().store());
+    let live = Arc::new(LiveNode::new(FullNode::new(chain).unwrap()));
+    let server =
+        NodeServer::bind(Arc::clone(&live), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut tcp = TcpTransport::connect(server.local_addr()).unwrap();
+    let mut light = LightNode::sync_from(&mut tcp, live.config()).unwrap();
+    assert_eq!(light.client().tip_height(), PREFIX);
+
+    let feed = MemoryFeed::new(blocks);
+    let publisher = feed.publisher();
+    let handle = TipIngester::spawn(Arc::clone(&live), Arc::clone(&store), feed, fast_config());
+
+    let addresses = [Address::new("1Miner"), Address::new("1Sparse")];
+    let spec = QuerySpec::addresses(addresses.to_vec());
+    let mut pinned = PREFIX;
+    for target in [12, 18, 24] {
+        publisher.publish(target - publisher.published());
+        wait_for_tip(&live, target);
+
+        let run = light.run(&spec.clone().range(1, pinned), &mut tcp).unwrap();
+        for (address, history) in addresses.iter().zip(&run.histories) {
+            let mut expected = truth.history_of(address);
+            expected.retain(|(height, _)| *height <= pinned);
+            assert_eq!(history.transactions, expected, "{address:?} at {pinned}");
+        }
+
+        let synced = light.sync_new(&mut tcp).unwrap();
+        assert_eq!(synced, ResyncOutcome::Synced(target - pinned));
+        pinned = target;
+    }
+
+    let run = light.run(&spec, &mut tcp).unwrap();
+    for (address, history) in addresses.iter().zip(&run.histories) {
+        assert_eq!(history.transactions, truth.history_of(address));
+    }
+    assert_eq!(handle.stop().unwrap().blocks_appended, 24 - PREFIX);
+    drop(tcp);
+    assert_eq!(server.shutdown().errors, 0);
 }
 
 #[test]

@@ -396,6 +396,32 @@ fn lru_cache_serves_repeats_and_reports_stats() {
 }
 
 #[test]
+fn full_scans_leave_the_block_cache_to_the_blocks_served() {
+    let chain = build_chain(16, 8);
+    let scratch = ScratchDir::new("scan-bypass");
+    drop(ingest_chain(&chain, scratch.path(), StoreConfig::default()).unwrap());
+
+    // Opening assembles the chain from one full scan, and validation
+    // scans again; neither may fill the LRU, although the whole chain
+    // fits its default budget many times over.
+    let (served, _) = open_chain(scratch.path(), StoreConfig::default()).unwrap();
+    assert_eq!(served.source().resident_bytes(), 0, "open filled the cache");
+    served.validate().unwrap();
+    assert_eq!(served.source().resident_bytes(), 0, "scan filled the cache");
+
+    // Only the blocks a caller asks for stay resident.
+    let touched = [2u64, 5, 9];
+    for &h in &touched {
+        assert_eq!(&*served.block(h).unwrap(), &*chain.block(h).unwrap());
+    }
+    let expected: u64 = touched
+        .iter()
+        .map(|&h| chain.block(h).unwrap().integral_size() as u64)
+        .sum();
+    assert_eq!(served.source().resident_bytes(), expected);
+}
+
+#[test]
 fn appending_after_reopen_continues_heights() {
     let chain = build_chain(9, 13);
     let scratch = ScratchDir::new("reopen-append");

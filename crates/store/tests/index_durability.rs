@@ -20,7 +20,7 @@ use lvq_chain::{
     TableUpdate, Transaction,
 };
 use lvq_codec::Encodable;
-use lvq_core::Prover;
+use lvq_core::{LightClient, Prover};
 use lvq_crypto::Hash256;
 use lvq_merkle::avl::AvlProof;
 use lvq_store::{
@@ -436,7 +436,9 @@ fn index_cache_reports_clears_and_rebudgets() {
     drop(ingest_chain(&truth, scratch.path(), config).unwrap());
     drop(open_chain_indexed(scratch.path(), config).unwrap());
 
-    let (served, _) = open_chain_indexed(scratch.path(), config).unwrap();
+    // A clean second open is pure point reads.
+    let (mut served, report) = open_chain_indexed(scratch.path(), config).unwrap();
+    assert_eq!(report.addr_index, AddrIndexRecovery::Intact);
     for address in probes(12, 2) {
         let _ = served.history_of(&address);
     }
@@ -464,6 +466,31 @@ fn index_cache_reports_clears_and_rebudgets() {
     }
     assert_eq!(served.cache_stats().index_nodes.used_bytes, 0);
     assert_equivalent(&truth, &served, 12, 2);
+
+    // Re-budget far below the node log: however much of the tree the
+    // verified probes walk, what stays resident is the cache's bound,
+    // not the chain's small size.
+    const BUDGET: usize = 2048;
+    served.set_cache_config(
+        served
+            .params()
+            .cache_config()
+            .with_index_node_cache_bytes(BUDGET),
+    );
+    assert!(served.tables().data_bytes() > 4 * BUDGET as u64);
+    let prover = Prover::from_chain(&served).unwrap();
+    let client = LightClient::new(prover.config(), served.headers());
+    for address in probes(12, 2) {
+        let (response, _) = prover.respond(&address).unwrap();
+        let history = client.verify(&address, &response).unwrap();
+        assert_eq!(history.transactions, truth.history_of(&address));
+    }
+    let budget = served.params().cache_config().index_node_cache_bytes as u64;
+    let resident = served.tables().resident_bytes();
+    assert!(
+        resident <= budget,
+        "{resident} table bytes resident over a {budget}-byte budget"
+    );
 }
 
 /// A store of [`build_chain`]`(12, 9)` behind `fs_impl`: blocks 1..=8

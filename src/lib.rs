@@ -93,8 +93,8 @@ pub mod prelude {
     pub use lvq_merkle::{Bmt, BmtProof, MerkleBranch, MerkleTree, SmtProof, SortedMerkleTree};
     pub use lvq_node::{
         query_quorum, BandwidthModel, FullNode, LightNode, LocalTransport, NodeServer,
-        PipelinedTcpTransport, QueryEngineStats, QueryPeer, QueryRun, QuerySpec, QuorumReport,
-        RetryPolicy, ServeNode, ServerConfig, ServerStats, TcpOptions, TcpTransport, Transport,
+        PipelinedTcpTransport, QueryPeer, QueryRun, QuerySpec, QuorumReport, RetryPolicy,
+        ServeNode, ServerConfig, ServerStats, TcpOptions, TcpTransport, Transport,
     };
     pub use lvq_store::{ingest_chain, open_chain, BlockStore, DiskBlockSource, StoreConfig};
     pub use lvq_workload::{probes, TrafficModel, Workload, WorkloadBuilder};
