@@ -34,7 +34,7 @@ use lvq_core::Scheme;
 use lvq_crypto::Hash256;
 use lvq_node::{
     BlockFeed, FaultPlan, FaultyTransport, FeedError, FullNode, IngestConfig, LightNode, LiveNode,
-    MemoryFeed, NodeServer, QuerySpec, ServerConfig, SupervisorConfig, TcpTransport, TipIngester,
+    MemoryFeed, NodeServer, QuerySpec, ServerConfig, TcpTransport, TipIngester,
 };
 use lvq_store::{BlockStore, StoreConfig};
 
@@ -164,7 +164,7 @@ fn try_client_run(
 /// # Panics
 ///
 /// Panics if any of the three claims in the module docs fails, or if a
-/// child never comes up within [`DEADLINE`].
+/// child never comes up within `DEADLINE`.
 pub fn run(scale: Scale, seed: u64, child_exe: &Path) -> Crashloop {
     let spec = WorkloadSpec {
         seed,
@@ -325,7 +325,6 @@ pub fn run(scale: Scale, seed: u64, child_exe: &Path) -> Crashloop {
         Arc::clone(&store),
         move || feed.clone(),
         IngestConfig::new().with_seed(seed),
-        SupervisorConfig::default(),
     );
     let catchup_started = Instant::now();
     while live.tip_height() < blocks {
@@ -458,7 +457,6 @@ pub fn child_main(args: &[String]) -> Result<(), String> {
             .with_max_batch(2)
             .with_poll(Duration::from_millis(1))
             .with_seed(seed),
-        SupervisorConfig::default(),
     );
     server.attach_ingest(ingester.monitor());
     server.watch_health(ingester.health().clone());

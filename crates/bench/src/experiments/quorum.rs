@@ -4,7 +4,7 @@
 //! transactions, because Merkle branches prove correctness but not
 //! completeness. This experiment stands up three live
 //! [`NodeServer`]s over loopback TCP — two honest, one running a
-//! [`CensoringNode`] that drops a transaction from every
+//! `CensoringNode` that drops a transaction from every
 //! multi-transaction Merkle-branch fragment — and demonstrates both
 //! halves of the claim with [`query_quorum`] over one batched spec:
 //!

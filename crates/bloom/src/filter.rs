@@ -155,11 +155,6 @@ impl BloomFilter {
             .sum()
     }
 
-    /// Fraction of set bits in `[0, 1]`.
-    pub fn fill_ratio(&self) -> f64 {
-        self.count_ones() as f64 / self.params.bits() as f64
-    }
-
     /// True if no bits are set.
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&b| b == 0)

@@ -34,18 +34,6 @@ pub struct CacheStats {
     pub used_bytes: u64,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from cache (`0.0` before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Combined statistics of all chain-side caches: the chain's three memo
 /// caches plus the block and table sources' own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

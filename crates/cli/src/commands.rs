@@ -12,7 +12,7 @@ use lvq_core::{Completeness, LightClient, Prover, SchemeConfig, VerifiedHistory}
 use lvq_node::{
     FaultPlan, FaultyTransport, FullNode, IngestConfig, LightNode, LiveNode, MemoryFeed,
     NodeServer, PipelinedTcpTransport, QueryRun, QuerySpec, ReconnectingTcpTransport, Retrier,
-    RetryPolicy, ServerConfig, SupervisorConfig, TcpOptions, TipIngester, Transport,
+    RetryPolicy, ServerConfig, TcpOptions, TipIngester, Transport,
 };
 use lvq_store::StoreConfig;
 use lvq_workload::{TrafficModel, WorkloadBuilder};
@@ -272,7 +272,8 @@ fn query_remote(
     }
 
     let base = Duration::from_millis(opts.backoff_ms);
-    let policy = RetryPolicy::new(opts.retries + 1).backoff(base, Duration::from_secs(2));
+    let policy =
+        RetryPolicy::new(opts.retries.saturating_add(1)).backoff(base, Duration::from_secs(2));
     let mut retrier = Retrier::new(policy, opts.chaos_seed.unwrap_or(0xC1A0));
     let tcp_options =
         TcpOptions::new().with_connect_timeout(opts.connect_timeout_ms.map(Duration::from_millis));
@@ -547,7 +548,6 @@ fn serve_following<T: TableSource + 'static>(
         store,
         move || feed.clone(),
         IngestConfig::default().with_max_reorg_depth(opts.max_reorg_depth),
-        SupervisorConfig::default(),
     );
     server.attach_ingest(ingest.monitor());
     server.watch_health(ingest.health().clone());
@@ -963,6 +963,21 @@ mod tests {
         fn text(&self) -> String {
             String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
         }
+
+        /// The server's `serving …` banner, once its whole line is
+        /// written (`writeln!` may land in several writes).
+        fn banner(&self) -> String {
+            loop {
+                let text = self.text();
+                let line = text
+                    .split_inclusive('\n')
+                    .find(|l| l.starts_with("serving") && l.ends_with('\n'));
+                if let Some(line) = line {
+                    return line.trim_end().to_string();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        }
     }
 
     #[test]
@@ -1020,12 +1035,7 @@ mod tests {
         };
 
         // The OS picked the port; learn it from the banner line.
-        let addr = loop {
-            if let Some(line) = server_out.text().lines().find(|l| l.starts_with("serving")) {
-                break line.rsplit(' ').next().unwrap().to_string();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let addr = server_out.banner().rsplit(' ').next().unwrap().to_string();
 
         let mut out = Vec::new();
         run(
@@ -1169,12 +1179,7 @@ mod tests {
                 .unwrap();
             })
         };
-        let addr = loop {
-            if let Some(line) = server_out.text().lines().find(|l| l.starts_with("serving")) {
-                break line.rsplit(' ').next().unwrap().to_string();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let addr = server_out.banner().rsplit(' ').next().unwrap().to_string();
 
         let mut out = Vec::new();
         run(
@@ -1363,12 +1368,7 @@ mod tests {
                 .unwrap();
             })
         };
-        let addr = loop {
-            if let Some(line) = server_out.text().lines().find(|l| l.starts_with("serving")) {
-                break line.rsplit(' ').next().unwrap().to_string();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let addr = server_out.banner().rsplit(' ').next().unwrap().to_string();
 
         let mut out = Vec::new();
         run(
@@ -1464,12 +1464,7 @@ mod tests {
                 .unwrap();
             })
         };
-        let banner = loop {
-            if let Some(line) = server_out.text().lines().find(|l| l.starts_with("serving")) {
-                break line.to_string();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let banner = server_out.banner();
         assert!(banner.contains("serving 6 blocks"), "{banner}");
         assert!(banner.contains("to height 16"), "{banner}");
         let addr = banner
@@ -1555,12 +1550,7 @@ mod tests {
                 .unwrap();
             })
         };
-        let addr = loop {
-            if let Some(line) = server_out.text().lines().find(|l| l.starts_with("serving")) {
-                break line.rsplit(' ').next().unwrap().to_string();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let addr = server_out.banner().rsplit(' ').next().unwrap().to_string();
 
         let mut out = Vec::new();
         run(
@@ -1612,5 +1602,42 @@ mod tests {
         let mut out = Vec::new();
         run(&strings(&["help"]), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("lvq generate"));
+    }
+
+    #[test]
+    fn usage_lists_every_flag_the_parser_accepts() {
+        let parser = include_str!("args.rs");
+        let flags: Vec<&str> = parser
+            .split('"')
+            .zip(parser.split('"').skip(1))
+            .filter(|(flag, after)| flag.starts_with("--") && after.trim_start().starts_with("=>"))
+            .map(|(flag, _)| flag)
+            .collect();
+        assert!(flags.len() > 30, "found only {flags:?}");
+        for flag in flags {
+            assert!(crate::USAGE.contains(flag), "USAGE omits {flag}");
+        }
+    }
+
+    #[test]
+    fn maximal_retry_count_does_not_overflow_the_attempt_count() {
+        // A port that was just free: the dial fails fast, after the
+        // retry policy is built.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .unwrap()
+            .to_string();
+        let args = strings(&[
+            "query",
+            "1Addr",
+            "--addr",
+            &addr,
+            "--segment",
+            "8",
+            "--retries",
+            &u32::MAX.to_string(),
+        ]);
+        let err = run(&args, &mut Vec::new()).unwrap_err();
+        assert!(!matches!(err, CliError::Usage(_)), "{err}");
     }
 }

@@ -28,11 +28,12 @@ usage:
   lvq validate FILE
   lvq query FILE ADDRESS [--range LO:HI] [--breakdown]
   lvq query ADDRESS --addr HOST:PORT --segment M [--scheme NAME] [--bf BYTES]
-            [--k N] [--range LO:HI]
+            [--k N] [--range LO:HI] [--retries N] [--backoff-ms MS]
+            [--chaos-seed S] [--connect-timeout-ms MS] [--pipeline WINDOW]
   lvq serve (FILE [--trust-file] | --store DIR [--block-cache BYTES]
             [--index [--index-cache BYTES]] [--follow FILE [--max-reorg-depth N]])
             [--addr HOST:PORT] [--max-requests N] [--workers N]
-            [--queue N] [--deadline-ms MS]
+            [--queue N] [--deadline-ms MS] [--max-in-flight N]
             [--filter-cache BYTES] [--smt-cache BYTES]
   lvq ingest FILE --store DIR [--trust-file] [--segment-bytes N] [--index]
   lvq fsck --store DIR [--index]

@@ -112,11 +112,6 @@ impl BmtProofStats {
         self.clean_leaves + self.clean_nodes + self.failed_leaves
     }
 
-    /// Number of Bloom filters carried by the proof.
-    pub fn filter_count(&self) -> u64 {
-        self.endpoint_count()
-    }
-
     /// Accumulates another proof's statistics (for multi-segment
     /// queries).
     pub fn merge(&mut self, other: &BmtProofStats) {

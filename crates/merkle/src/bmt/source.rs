@@ -22,9 +22,8 @@ use lvq_crypto::Hash256;
 ///
 /// * `span()` covers `2^d` leaves for some `d ≥ 0`.
 /// * `filter`/`node_hash` are only called with dyadic sub-spans of
-///   `span()` and must be consistent with [`leaf_hash`]/[`internal_hash`]
-///   over the same filters ([`crate::bmt::leaf_hash`],
-///   [`crate::bmt::internal_hash`]).
+///   `span()` and must be consistent with [`crate::bmt::leaf_hash`] /
+///   [`crate::bmt::internal_hash`] over the same filters.
 pub trait BmtSource {
     /// Parameters shared by every filter in the tree.
     fn params(&self) -> BloomParams;

@@ -15,11 +15,11 @@
 //!   by [`IngestConfig::min_batch`]`..=`[`IngestConfig::max_batch`], so
 //!   a healthy feed is drained in large strides and a flaky one is
 //!   probed gently;
-//! * **seeded-jitter retry** — transient feed failures back off
-//!   exponentially with deterministic jitter
-//!   ([`IngestConfig::seed`]), so two ingesters recovering from the
-//!   same outage do not hammer the source in lockstep, and a test can
-//!   replay the exact schedule;
+//! * **seeded-jitter retry** — transient feed failures back off with
+//!   the crate's decorrelated jitter (1 ms growing to at most 100 ms,
+//!   seeded by [`IngestConfig::seed`]), so two ingesters recovering
+//!   from the same outage do not hammer the source in lockstep, and a
+//!   test can replay the exact schedule;
 //! * **linkage validation before persistence** — each fetched block's
 //!   `prev_block` is checked against the running tip hash *before*
 //!   anything touches the store, so a byzantine feed cannot poison the
@@ -60,9 +60,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::live::LiveNode;
+use crate::retry::Backoff;
 use crate::supervise::{
     interruptible_sleep, HealthCell, Supervised, SupervisorConfig, TaskSpec, WorkCtx,
 };
+
+/// Backoff bounds after a transient feed failure.
+const FEED_BACKOFF_BASE: Duration = Duration::from_millis(1);
+const FEED_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// Supervision labels for the ingest pipeline.
 const INGEST_SPEC: TaskSpec = TaskSpec {
@@ -233,16 +238,6 @@ pub struct IngestConfig {
     pub max_batch: u64,
     /// Sleep between fetches while caught up with the feed.
     pub poll: Duration,
-    /// Base backoff after a transient feed failure; doubles per
-    /// consecutive failure up to `max_backoff`, plus seeded jitter of
-    /// up to half the current backoff.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Consecutive transient failures tolerated before the ingester
-    /// gives up with [`IngestError::FeedGaveUp`]; `None` retries
-    /// forever.
-    pub max_consecutive_failures: Option<u32>,
     /// Seed of the retry jitter.
     pub seed: u64,
     /// Deepest reorg the pipeline will follow. 0 (the default) keeps
@@ -253,16 +248,12 @@ pub struct IngestConfig {
 }
 
 impl Default for IngestConfig {
-    /// Batches 4..=64, 2 ms poll, 1 ms base backoff capped at 100 ms,
-    /// unlimited retries, seed 0.
+    /// Batches 4..=64, 2 ms poll, seed 0.
     fn default() -> Self {
         IngestConfig {
             min_batch: 4,
             max_batch: 64,
             poll: Duration::from_millis(2),
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            max_consecutive_failures: None,
             seed: 0,
             max_reorg_depth: 0,
         }
@@ -294,28 +285,6 @@ impl IngestConfig {
     #[must_use]
     pub fn with_poll(mut self, poll: Duration) -> Self {
         self.poll = poll;
-        self
-    }
-
-    /// Sets the base backoff after a transient feed failure.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Sets the backoff ceiling.
-    #[must_use]
-    pub fn with_max_backoff(mut self, max_backoff: Duration) -> Self {
-        self.max_backoff = max_backoff;
-        self
-    }
-
-    /// Sets how many consecutive transient failures are tolerated
-    /// before [`IngestError::FeedGaveUp`]; `None` retries forever.
-    #[must_use]
-    pub fn with_max_consecutive_failures(mut self, max: Option<u32>) -> Self {
-        self.max_consecutive_failures = max;
         self
     }
 
@@ -428,12 +397,6 @@ pub enum IngestError {
         /// Height of the first non-linking block.
         height: u64,
     },
-    /// More consecutive transient feed failures than
-    /// [`IngestConfig::max_consecutive_failures`] tolerates.
-    FeedGaveUp {
-        /// Consecutive failures observed.
-        failures: u32,
-    },
     /// The ingest thread panicked.
     Panicked,
 }
@@ -445,9 +408,6 @@ impl std::fmt::Display for IngestError {
             IngestError::Chain(e) => write!(f, "ingest chain extension failed: {e}"),
             IngestError::BrokenFeed { height } => {
                 write!(f, "feed block {height} does not chain onto the tip")
-            }
-            IngestError::FeedGaveUp { failures } => {
-                write!(f, "feed failed {failures} consecutive times")
             }
             IngestError::Panicked => write!(f, "ingest thread panicked"),
         }
@@ -514,8 +474,8 @@ impl TipIngester {
         }
     }
 
-    /// Spawns the ingest pipeline under a [`Supervised`] monitor:
-    /// panics and fatal errors restart it with seeded backoff (resuming
+    /// Spawns the ingest pipeline under a supervisor: panics and
+    /// fatal errors restart it with seeded backoff (resuming
     /// from the store's persisted height, the same resume rule as a
     /// process restart), a stalled attempt is abandoned and replaced by
     /// the watchdog, and an exhausted restart budget parks the pipeline
@@ -531,7 +491,6 @@ impl TipIngester {
         store: Arc<BlockStore>,
         make_feed: M,
         config: IngestConfig,
-        supervisor: SupervisorConfig,
     ) -> SupervisedIngest
     where
         S: BlockSource + 'static,
@@ -545,7 +504,7 @@ impl TipIngester {
         let body_shared = Arc::clone(&shared);
         let task = Supervised::spawn(
             INGEST_SPEC,
-            supervisor,
+            SupervisorConfig::default(),
             health.clone(),
             restarts,
             move |ctx| {
@@ -680,7 +639,7 @@ where
 {
     let min_batch = config.min_batch.max(1);
     let max_batch = config.max_batch.max(min_batch);
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut backoff = Backoff::new(FEED_BACKOFF_BASE, FEED_BACKOFF_CAP, config.seed);
 
     // Resume from durability: the store's height is the truth. A chain
     // reassembled from this store is already there; a chain that lags
@@ -706,7 +665,6 @@ where
     let mut cursor = 1u64;
 
     let mut batch = min_batch;
-    let mut consecutive_failures = 0u32;
     while !stop.load(Ordering::SeqCst) {
         let from = if tree.is_some() {
             cursor
@@ -728,13 +686,13 @@ where
         match fetched {
             Ok(blocks) if blocks.is_empty() => {
                 shared.caught_up.store(true, Ordering::Relaxed);
-                consecutive_failures = 0;
+                backoff.reset();
                 ctx.idle();
                 interruptible_sleep(config.poll, stop);
             }
             Ok(blocks) => {
                 shared.caught_up.store(false, Ordering::Relaxed);
-                consecutive_failures = 0;
+                backoff.reset();
 
                 if let Some(tree) = tree.as_mut() {
                     cursor += blocks.len() as u64;
@@ -773,28 +731,9 @@ where
             Err(FeedError::Transient { .. }) => {
                 shared.caught_up.store(false, Ordering::Relaxed);
                 shared.retries.fetch_add(1, Ordering::Relaxed);
-                consecutive_failures += 1;
-                if let Some(limit) = config.max_consecutive_failures {
-                    if consecutive_failures > limit {
-                        return Err(IngestError::FeedGaveUp {
-                            failures: consecutive_failures,
-                        });
-                    }
-                }
                 batch = (batch / 2).max(min_batch);
-                let exp = consecutive_failures.saturating_sub(1).min(10);
-                let base = config
-                    .backoff
-                    .saturating_mul(1u32 << exp)
-                    .min(config.max_backoff);
-                let jitter_us = (base.as_micros() / 2) as u64;
-                let jitter = Duration::from_micros(if jitter_us == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=jitter_us)
-                });
                 ctx.idle();
-                interruptible_sleep(base + jitter, stop);
+                interruptible_sleep(backoff.next_delay(), stop);
             }
         }
     }
@@ -918,8 +857,6 @@ mod tests {
             min_batch: 2,
             max_batch: 8,
             poll: Duration::from_micros(200),
-            backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(2),
             ..IngestConfig::default()
         }
     }
@@ -990,31 +927,6 @@ mod tests {
         assert_eq!(stats.blocks_appended, 20);
         assert!(stats.retries > 0, "a 40% failure rate must be observed");
         assert_eq!(fixture.store.verify_all().unwrap(), 20);
-    }
-
-    #[test]
-    fn gives_up_after_the_failure_budget() {
-        let fixture = live_fixture("ingest-giveup", 0, 4);
-        let feed = FlakyFeed::new(MemoryFeed::new(fixture.blocks.clone()), 1.0, 1);
-        let config = IngestConfig {
-            max_consecutive_failures: Some(3),
-            ..fast_config()
-        };
-        let handle = TipIngester::spawn(
-            Arc::clone(&fixture.live),
-            Arc::clone(&fixture.store),
-            feed,
-            config,
-        );
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while handle.is_running() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        match handle.stop() {
-            Err(IngestError::FeedGaveUp { failures: 4 }) => {}
-            other => panic!("expected FeedGaveUp after 4 failures, got {other:?}"),
-        }
-        assert_eq!(fixture.store.len(), 0, "nothing was persisted");
     }
 
     #[test]

@@ -109,6 +109,6 @@ pub use retry::{ResyncOutcome, Retrier, RetryPolicy, RetryStats};
 pub use server::{
     LatencySummary, NodeServer, RequestCounters, ServeNode, ServerConfig, ServerStats,
 };
-pub use supervise::{HealthCell, HealthState, Supervised, SupervisorConfig, TaskSpec, WorkCtx};
+pub use supervise::{HealthCell, HealthState};
 pub use tcp::{TcpOptions, TcpTransport};
 pub use transport::{LocalTransport, Transport};

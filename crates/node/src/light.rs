@@ -30,9 +30,8 @@ use crate::transport::Transport;
 /// let single = QuerySpec::address(Address::new("1Shop"));
 /// let windowed = QuerySpec::address(Address::new("1Shop")).range(3, 7);
 /// let batch = QuerySpec::addresses(vec![Address::new("1Shop"), Address::new("1Miner")]);
-/// assert!(!single.is_batch());
-/// assert!(batch.is_batch());
-/// assert_eq!(windowed.height_range(), Some((3, 7)));
+/// assert_eq!(single.targets(), windowed.targets());
+/// assert_eq!(batch.targets().len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpec {
@@ -76,16 +75,6 @@ impl QuerySpec {
     /// The queried addresses, in response-section order.
     pub fn targets(&self) -> &[Address] {
         &self.targets
-    }
-
-    /// Whether this spec goes on the wire as a batched request.
-    pub fn is_batch(&self) -> bool {
-        self.batch
-    }
-
-    /// The block-height restriction, if any.
-    pub fn height_range(&self) -> Option<(u64, u64)> {
-        self.range
     }
 
     /// The request message this spec encodes to.
@@ -453,7 +442,7 @@ impl LightNode {
     /// # Errors
     ///
     /// As [`LightNode::run`], except that a transient error surfaces
-    /// only once the retrier's attempt cap or deadline budget is spent.
+    /// only once the retrier's attempt cap is spent.
     pub fn run_with_retry<T: Transport + ?Sized>(
         &mut self,
         spec: &QuerySpec,

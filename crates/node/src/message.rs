@@ -438,7 +438,7 @@ impl Message {
 /// Tag and body bytes are identical between the two versions — the
 /// property the `v2 ≡ v1 modulo id` proptests pin — so wrapping and
 /// unwrapping never re-encode the message, and `Traffic` accounting on
-/// a v2 connection differs from v1 by exactly [`V2_HEAD`]` - 1` bytes
+/// a v2 connection differs from v1 by exactly [`envelope::V2_HEAD`]` - 1` bytes
 /// per message.
 pub mod envelope {
     use super::{Message, PROTOCOL_V2, PROTOCOL_VERSION};

@@ -5,8 +5,8 @@
 //! a connection-shaped death — the peer vanished
 //! ([`NodeError::Disconnected`]), went quiet ([`NodeError::Timeout`]),
 //! or the socket failed ([`NodeError::Io`]) — it drops the dead
-//! connection, re-dials (with a bounded number of attempts and a fixed
-//! pause between them), and **replays the in-flight request** on the
+//! connection, re-dials (up to [`MAX_REDIALS`] times, [`REDIAL_DELAY`]
+//! apart), and **replays the in-flight request** on the
 //! fresh connection.
 //!
 //! Replaying is safe because every message a light node sends is a
@@ -27,6 +27,12 @@ use crate::pipe::Traffic;
 use crate::tcp::{TcpOptions, TcpTransport};
 use crate::transport::Transport;
 
+/// Fresh connections one exchange may dial before it gives up.
+const MAX_REDIALS: u32 = 3;
+
+/// Pause before each re-dial.
+const REDIAL_DELAY: Duration = Duration::from_millis(20);
+
 /// A [`Transport`] that survives its connection: dead sockets are
 /// re-dialed and the in-flight request replayed.
 ///
@@ -39,8 +45,6 @@ pub struct ReconnectingTcpTransport {
     addr: String,
     conn: Option<TcpTransport>,
     options: TcpOptions,
-    max_redials: u32,
-    redial_delay: Duration,
     cumulative: Traffic,
     exchanges: u64,
     reconnects: u64,
@@ -49,8 +53,8 @@ pub struct ReconnectingTcpTransport {
 impl ReconnectingTcpTransport {
     /// Connects to a serving full node at `addr` (kept for re-dialing).
     ///
-    /// Defaults: 3 re-dials per exchange, 20ms apart, no socket
-    /// timeouts.
+    /// No socket timeouts; each exchange re-dials up to 3 times, 20 ms
+    /// apart.
     ///
     /// # Errors
     ///
@@ -74,42 +78,12 @@ impl ReconnectingTcpTransport {
             addr: addr.into(),
             conn: None,
             options,
-            max_redials: 3,
-            redial_delay: Duration::from_millis(20),
             cumulative: Traffic::default(),
             exchanges: 0,
             reconnects: 0,
         };
         transport.conn = Some(transport.dial()?);
         Ok(transport)
-    }
-
-    /// Applies read/write timeouts to the current and every future
-    /// connection. `None` blocks indefinitely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Io`] if the live socket rejects the option.
-    pub fn set_timeouts(
-        &mut self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> Result<(), NodeError> {
-        self.options = self
-            .options
-            .with_read_timeout(read)
-            .with_write_timeout(write);
-        if let Some(conn) = &mut self.conn {
-            conn.set_timeouts(read, write)?;
-        }
-        Ok(())
-    }
-
-    /// Sets how persistently one exchange re-dials: up to `max_redials`
-    /// fresh connections, `delay` apart.
-    pub fn set_redial(&mut self, max_redials: u32, delay: Duration) {
-        self.max_redials = max_redials;
-        self.redial_delay = delay;
     }
 
     /// The address this transport (re)connects to.
@@ -162,7 +136,7 @@ impl ReconnectingTcpTransport {
 
 impl Transport for ReconnectingTcpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<(Vec<u8>, Traffic), NodeError> {
-        let mut redials_left = self.max_redials;
+        let mut redials_left = MAX_REDIALS;
         loop {
             // (Re)connect lazily: the previous exchange may have left
             // the connection torn down.
@@ -178,7 +152,7 @@ impl Transport for ReconnectingTcpTransport {
                             return Err(e);
                         }
                         redials_left -= 1;
-                        std::thread::sleep(self.redial_delay);
+                        std::thread::sleep(REDIAL_DELAY);
                         continue;
                     }
                 },
@@ -199,7 +173,7 @@ impl Transport for ReconnectingTcpTransport {
                         return Err(e);
                     }
                     redials_left -= 1;
-                    std::thread::sleep(self.redial_delay);
+                    std::thread::sleep(REDIAL_DELAY);
                 }
                 Err(e) => {
                     // An oversized frame leaves unread payload bytes in
@@ -261,7 +235,6 @@ mod tests {
         // exchange hits a dead socket and must reconnect + replay.
         let (addr, server) = flaky_echo_server(3, 1);
         let mut transport = ReconnectingTcpTransport::connect(&addr).unwrap();
-        transport.set_redial(3, Duration::from_millis(5));
         for i in 0..3u8 {
             let (reply, traffic) = transport.exchange(&[i; 5]).unwrap();
             assert_eq!(reply, [i; 5], "exchange {i} replayed correctly");
@@ -282,7 +255,6 @@ mod tests {
         // One connection, one frame — then the server is gone for good.
         let (addr, server) = flaky_echo_server(1, 1);
         let mut transport = ReconnectingTcpTransport::connect(&addr).unwrap();
-        transport.set_redial(2, Duration::from_millis(1));
         assert!(transport.exchange(b"ok").is_ok());
         server.join().unwrap();
         let err = transport.exchange(b"dead peer").unwrap_err();

@@ -3,26 +3,27 @@
 //! The serving stack sheds load with [`crate::Message::Busy`], drops
 //! idle connections, and enforces deadlines; a well-behaved client
 //! answers all of that with *patience*, not failure. [`RetryPolicy`]
-//! describes how patient (attempt cap, backoff window, overall
-//! deadline budget); [`Retrier`] executes an operation under a policy,
-//! retrying exactly the errors [`NodeError::retryable`] classifies as
-//! transient and giving up immediately on fatal ones — a verification
-//! failure must never be papered over by asking the same peer again.
+//! describes how patient (attempt cap, backoff window); [`Retrier`]
+//! executes an operation under a policy, retrying exactly the errors
+//! [`NodeError::retryable`] classifies as transient and giving up
+//! immediately on fatal ones — a verification failure must never be
+//! papered over by asking the same peer again.
 //!
 //! Backoff uses decorrelated jitter (`sleep = min(cap, uniform(base,
 //! prev * 3))`): it spreads synchronized clients apart like full
 //! jitter but still grows roughly exponentially. The jitter stream
 //! comes from a seeded RNG, so a retry schedule — like everything else
-//! in the chaos harness — is reproducible.
+//! in the chaos harness — is reproducible. The same [`Backoff`] paces
+//! the supervisor's restarts and the ingest feed's retries.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::message::NodeError;
 
-/// How hard to try: attempt cap, backoff window, deadline budget.
+/// How hard to try: attempt cap and backoff window.
 ///
 /// # Examples
 ///
@@ -30,14 +31,12 @@ use crate::message::NodeError;
 /// use std::time::Duration;
 /// use lvq_node::RetryPolicy;
 ///
-/// // Five attempts, 10ms–2s decorrelated-jitter backoff, no deadline.
+/// // Five attempts, 10ms–2s decorrelated-jitter backoff.
 /// let default = RetryPolicy::default();
 /// assert_eq!(default.max_attempts, 5);
 ///
-/// // A CLI-style policy: 8 attempts, 50ms base, 2-second budget.
-/// let patient = RetryPolicy::new(8)
-///     .backoff(Duration::from_millis(50), Duration::from_secs(1))
-///     .budget(Duration::from_secs(2));
+/// // A CLI-style policy: 8 attempts, 50ms–1s backoff.
+/// let patient = RetryPolicy::new(8).backoff(Duration::from_millis(50), Duration::from_secs(1));
 /// assert_eq!(patient.max_attempts, 8);
 ///
 /// // No retries at all: every error is final on the first attempt.
@@ -51,9 +50,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound any backoff sleep is clamped to.
     pub max_backoff: Duration,
-    /// Overall wall-clock budget for one operation, attempts and
-    /// backoff included. `None` means attempts are the only cap.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -64,7 +60,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// A policy of `max_attempts` tries with the default 10ms–2s
-    /// backoff window and no deadline budget.
+    /// backoff window.
     ///
     /// # Panics
     ///
@@ -75,7 +71,6 @@ impl RetryPolicy {
             max_attempts,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(2),
-            deadline: None,
         }
     }
 
@@ -92,12 +87,51 @@ impl RetryPolicy {
         self.max_backoff = cap.max(base);
         self
     }
+}
 
-    /// Sets the overall wall-clock budget for one operation.
-    #[must_use]
-    pub fn budget(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
+/// Decorrelated-jitter backoff from a seeded RNG: each sleep is drawn
+/// uniformly from `[base, prev * 3]` and clamped to `cap`, so it never
+/// leaves `[base, cap]`. The crate's one retry-timing policy — the
+/// [`Retrier`], the supervisor's restart loop and the ingest feed retry
+/// all draw from one.
+#[derive(Debug)]
+pub(crate) struct Backoff {
+    base: Duration,
+    cap: Duration,
+    prev: Duration,
+    rng: StdRng,
+}
+
+impl Backoff {
+    /// A schedule between `base` and `cap` (raised to `base` if lower)
+    /// whose jitter stream derives from `seed`.
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+        Backoff {
+            base,
+            cap: cap.max(base),
+            prev: base,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// The next sleep of the current run of failures.
+    pub(crate) fn next_delay(&mut self) -> Duration {
+        let base = self.base.as_micros() as u64;
+        let cap = self.cap.as_micros() as u64;
+        let hi = (self.prev.as_micros() as u64).saturating_mul(3).max(base);
+        let drawn = if hi > base {
+            self.rng.gen_range(base..=hi)
+        } else {
+            base
+        };
+        self.prev = Duration::from_micros(drawn.min(cap));
+        self.prev
+    }
+
+    /// A success ends the run: the next failure starts again from
+    /// `base` (the jitter stream itself carries on).
+    pub(crate) fn reset(&mut self) {
+        self.prev = self.base;
     }
 }
 
@@ -138,8 +172,7 @@ impl ResyncOutcome {
 /// Counters of what a [`Retrier`] actually did, for reporting.
 ///
 /// Everything here is deterministic under a fixed seed and policy
-/// (backoff durations are drawn from the seeded RNG; only a deadline
-/// budget consults the wall clock).
+/// (backoff durations are drawn from the seeded RNG).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryStats {
     /// Operations driven to completion (success or final error).
@@ -148,8 +181,7 @@ pub struct RetryStats {
     pub attempts: u64,
     /// Attempts beyond the first, i.e. actual retries.
     pub retries: u64,
-    /// Operations that exhausted the attempt cap or deadline budget on
-    /// transient errors.
+    /// Operations that exhausted the attempt cap on transient errors.
     pub exhausted: u64,
     /// Operations stopped by a fatal (non-retryable) error.
     pub fatal: u64,
@@ -210,7 +242,7 @@ impl RetryStats {
 #[derive(Debug)]
 pub struct Retrier {
     policy: RetryPolicy,
-    rng: StdRng,
+    backoff: Backoff,
     stats: RetryStats,
 }
 
@@ -220,7 +252,7 @@ impl Retrier {
     pub fn new(policy: RetryPolicy, seed: u64) -> Self {
         Retrier {
             policy,
-            rng: StdRng::seed_from_u64(seed),
+            backoff: Backoff::new(policy.base_backoff, policy.max_backoff, seed),
             stats: RetryStats::default(),
         }
     }
@@ -241,8 +273,7 @@ impl Retrier {
     /// # Errors
     ///
     /// Returns the first non-retryable error immediately, or the last
-    /// transient error once the attempt cap or deadline budget is
-    /// spent.
+    /// transient error once the attempt cap is spent.
     pub fn run<R, F>(&mut self, mut op: F) -> Result<R, NodeError>
     where
         F: FnMut(u32) -> Result<R, NodeError>,
@@ -262,9 +293,8 @@ impl Retrier {
     where
         F: FnMut(u32, &mut RetryStats) -> Result<R, NodeError>,
     {
-        let started = Instant::now();
         self.stats.operations += 1;
-        let mut prev_sleep = self.policy.base_backoff;
+        self.backoff.reset();
         for attempt in 1..=self.policy.max_attempts {
             self.stats.attempts += 1;
             if attempt > 1 {
@@ -282,34 +312,13 @@ impl Retrier {
                 self.stats.exhausted += 1;
                 return Err(error);
             }
-            let sleep = self.next_backoff(&mut prev_sleep);
-            if let Some(deadline) = self.policy.deadline {
-                if started.elapsed() + sleep >= deadline {
-                    self.stats.exhausted += 1;
-                    return Err(error);
-                }
-            }
+            let sleep = self.backoff.next_delay();
             self.stats.backoff_total += sleep;
             if !sleep.is_zero() {
                 std::thread::sleep(sleep);
             }
         }
         unreachable!("the loop returns on the final attempt");
-    }
-
-    /// One decorrelated-jitter step: `min(cap, uniform(base, prev*3))`.
-    fn next_backoff(&mut self, prev: &mut Duration) -> Duration {
-        let base = self.policy.base_backoff.as_micros() as u64;
-        let cap = self.policy.max_backoff.as_micros() as u64;
-        let hi = (prev.as_micros() as u64).saturating_mul(3).max(base);
-        let drawn = if hi > base {
-            self.rng.gen_range(base..=hi)
-        } else {
-            base
-        };
-        let sleep = Duration::from_micros(drawn.min(cap));
-        *prev = sleep;
-        sleep
     }
 }
 
@@ -384,18 +393,33 @@ mod tests {
     }
 
     #[test]
-    fn deadline_budget_stops_retrying() {
-        // A zero budget: the first backoff would already exceed it.
-        let policy = fast_policy(10).budget(Duration::ZERO);
-        let mut retrier = Retrier::new(policy, 4);
-        let mut calls = 0u32;
-        let out: Result<(), NodeError> = retrier.run(|_| {
-            calls += 1;
-            Err(NodeError::Busy)
-        });
-        assert_eq!(out.unwrap_err(), NodeError::Busy);
-        assert_eq!(calls, 1, "no budget, no retries");
-        assert_eq!(retrier.stats().exhausted, 1);
+    fn backoff_stays_in_bounds_replays_per_seed_and_resets() {
+        let (base, cap) = (Duration::from_millis(10), Duration::from_millis(200));
+        let run = |backoff: &mut Backoff| (0..12).map(|_| backoff.next_delay()).collect::<Vec<_>>();
+        let mut a = Backoff::new(base, cap, 7);
+        let first = run(&mut a);
+        assert!(first.iter().all(|d| (base..=cap).contains(d)), "{first:?}");
+        assert_eq!(
+            first,
+            run(&mut Backoff::new(base, cap, 7)),
+            "same seed, same schedule"
+        );
+        assert_ne!(
+            first,
+            run(&mut Backoff::new(base, cap, 8)),
+            "jitter ignored the seed"
+        );
+        assert!(
+            first.iter().any(|d| *d > base * 3),
+            "a run of failures grows past the first window"
+        );
+        // A success restarts the run: however far a run grew, the next
+        // draw is from [base, 3 * base] again.
+        for _ in 0..10 {
+            run(&mut a);
+            a.reset();
+            assert!(a.next_delay() <= base * 3);
+        }
     }
 
     #[test]

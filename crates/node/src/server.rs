@@ -67,6 +67,17 @@ const WORKER_SPEC: TaskSpec = TaskSpec {
 /// event-loop poll timeout (which paces the stall sweeps).
 const STOP_POLL: Duration = Duration::from_millis(25);
 
+/// Stall limit for a peer that goes silent in the middle of a frame: a
+/// connection with a partial frame older than this is dropped. Idle
+/// connections (no partial frame) are never timed out — holding many
+/// idle light clients is the point.
+const READ_STALL: Duration = Duration::from_millis(200);
+
+/// Stall limit for a peer that stops draining its responses: a
+/// connection whose write queue makes no progress for this long — plus
+/// the drain allowance of [`MIN_DRAIN_BYTES_PER_SEC`] — is dropped.
+const WRITE_STALL: Duration = Duration::from_millis(200);
+
 /// Hard cap on the draining shutdown: if a proof is still running this
 /// long after [`NodeServer::shutdown`], the loop stops waiting for it.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
@@ -77,7 +88,7 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 const READ_PAUSE_BUFFER: usize = 1 << 20;
 
 /// Slowest drain an honest reader is held to. A connection may go
-/// without write progress for `write_timeout` plus the time the
+/// without write progress for [`WRITE_STALL`] plus the time the
 /// replies queued on it would take at this rate: a client sharing two
 /// cores with a dozen others sits out a multi-MB reply for longer than
 /// any constant that still drops a dead peer of a small one promptly.
@@ -131,16 +142,6 @@ impl<S: lvq_chain::BlockSource + 'static, T: lvq_chain::TableSource + 'static> S
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServerConfig {
-    /// Stall limit for a peer that goes silent in the middle of a
-    /// frame; a connection with a partial frame older than this is
-    /// dropped. Idle connections (no partial frame) are never timed
-    /// out — holding many idle light clients is the point.
-    pub read_timeout: Duration,
-    /// Stall limit for a peer that stops draining its responses; a
-    /// connection whose write queue makes no progress for this long —
-    /// plus the time the replies queued on it would take at a fixed
-    /// floor rate of 4 MiB/s — is dropped.
-    pub write_timeout: Duration,
     /// Proof-worker threads in the pool; `0` means one per available
     /// CPU. Workers only run proofs — connections all live on the
     /// event loop — so this bounds CPU, not open connections.
@@ -163,13 +164,10 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// 200 ms stall limits (snappy shutdown on loopback), auto-sized
-    /// pool, 64-deep dispatch queue, no request deadline, 32 in-flight
-    /// requests per v2 connection.
+    /// Auto-sized pool, 64-deep dispatch queue, no request deadline, 32
+    /// in-flight requests per v2 connection.
     fn default() -> Self {
         ServerConfig {
-            read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_millis(200),
             workers: 0,
             accept_queue: 64,
             request_deadline: None,
@@ -183,20 +181,6 @@ impl ServerConfig {
     /// of a `with_*` chain.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the mid-frame read stall limit.
-    #[must_use]
-    pub fn with_read_timeout(mut self, read_timeout: Duration) -> Self {
-        self.read_timeout = read_timeout;
-        self
-    }
-
-    /// Sets the response write stall limit.
-    #[must_use]
-    pub fn with_write_timeout(mut self, write_timeout: Duration) -> Self {
-        self.write_timeout = write_timeout;
-        self
     }
 
     /// Sets the proof-worker count (`0` = one per available CPU).
@@ -796,7 +780,10 @@ impl<P: ServeNode> NodeServer<P> {
                 shared.watched.lock().push(cell.clone());
                 Supervised::spawn(
                     WORKER_SPEC,
-                    SupervisorConfig::default().with_seed(i as u64),
+                    SupervisorConfig {
+                        seed: i as u64,
+                        ..SupervisorConfig::default()
+                    },
                     cell,
                     Arc::clone(&shared.worker_restarts),
                     move |ctx| {
@@ -1441,8 +1428,6 @@ impl<P: ServeNode> EventLoop<P> {
     /// (peer not draining) past their stall limits.
     fn sweep_stalls(&mut self) {
         let now = Instant::now();
-        let read_limit = self.shared.config.read_timeout;
-        let write_limit = self.shared.config.write_timeout;
         let stalled: Vec<usize> = self
             .conns
             .iter()
@@ -1450,12 +1435,12 @@ impl<P: ServeNode> EventLoop<P> {
             .filter_map(|(i, slot)| {
                 let conn = slot.as_ref()?;
                 let mid_frame = !conn.read_buf.is_empty() && !conn.parse_gated();
-                let read_stall = mid_frame && now.duration_since(conn.read_progress) > read_limit;
+                let read_stall = mid_frame && now.duration_since(conn.read_progress) > READ_STALL;
                 // (The queue is only measured once the base limit passed.)
                 let silent = now.duration_since(conn.write_progress);
                 let write_stall = !conn.out.is_empty()
-                    && silent > write_limit
-                    && silent > write_limit + conn.drain_allowance();
+                    && silent > WRITE_STALL
+                    && silent > WRITE_STALL + conn.drain_allowance();
                 (read_stall || write_stall).then_some(i)
             })
             .collect();
@@ -1570,14 +1555,10 @@ mod tests {
     #[test]
     fn config_builders_cover_every_knob() {
         let config = ServerConfig::new()
-            .with_read_timeout(Duration::from_millis(1))
-            .with_write_timeout(Duration::from_millis(2))
             .with_workers(5)
             .with_accept_queue(7)
             .with_request_deadline(Some(Duration::from_millis(9)))
             .with_max_in_flight(11);
-        assert_eq!(config.read_timeout, Duration::from_millis(1));
-        assert_eq!(config.write_timeout, Duration::from_millis(2));
         assert_eq!(config.workers, 5);
         assert_eq!(config.accept_queue, 7);
         assert_eq!(config.request_deadline, Some(Duration::from_millis(9)));

@@ -3,13 +3,13 @@
 //!
 //! A [`Supervised`] task wraps a worker body in [`catch_unwind`] and a
 //! monitor thread. When the body panics or returns an error, the
-//! monitor restarts it after a seeded decorrelated-jitter backoff —
-//! deterministic for a given [`SupervisorConfig::seed`], so restart
-//! storms replay exactly in tests. When the body stops heartbeating
-//! through its [`WorkCtx`] while marked busy, the watchdog *abandons*
-//! the attempt (its [`WorkCtx::live`] flips false, so a wedged thread
-//! that eventually wakes finds itself fenced off and exits instead of
-//! racing its replacement) and spawns a fresh one.
+//! monitor restarts it after the crate's seeded decorrelated-jitter
+//! [`Backoff`] — deterministic for a given [`SupervisorConfig::seed`],
+//! so restart storms replay exactly in tests. When the body stops
+//! heartbeating through its [`WorkCtx`] while marked busy, the watchdog
+//! *abandons* the attempt (its [`WorkCtx::live`] flips false, so a
+//! wedged thread that eventually wakes finds itself fenced off and exits
+//! instead of racing its replacement) and spawns a fresh one.
 //!
 //! Every health transition lands in a [`HealthCell`]:
 //! [`HealthState::Healthy`] until the first restart, then
@@ -18,12 +18,18 @@
 //! Cells are cheap cloneable handles, so the server aggregates the
 //! worst state across its proof workers, its request handlers, and an
 //! attached ingest pipeline into one [`crate::ServerStats::health`].
+//!
+//! Supervision is internal policy: restart timing decides only *when*
+//! a subsystem is back, never what it serves, so [`SupervisorConfig`]
+//! is crate-private and production code runs on its defaults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use crate::retry::Backoff;
 
 /// How a supervised subsystem is doing, worst observation wins.
 ///
@@ -143,7 +149,7 @@ impl HealthCell {
 /// reasons its incidents report. All `&'static str` so health
 /// snapshots stay `Copy`.
 #[derive(Debug, Clone, Copy)]
-pub struct TaskSpec {
+pub(crate) struct TaskSpec {
     /// Thread name.
     pub name: &'static str,
     /// `Degraded` reason after a panic/error restart.
@@ -155,16 +161,17 @@ pub struct TaskSpec {
     pub fail_reason: &'static str,
 }
 
-/// Tuning knobs for a [`Supervised`] task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SupervisorConfig {
+/// Timing of a [`Supervised`] task. Production code uses the
+/// defaults (the server varies only the seed, per worker); unit tests
+/// shrink the intervals with a struct literal.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SupervisorConfig {
     /// Restarts tolerated before the task is declared
     /// [`HealthState::Failed`] and left down.
     pub max_restarts: u32,
-    /// First backoff delay; later delays jitter upward from here.
+    /// Lower bound of every restart backoff.
     pub backoff_base: Duration,
-    /// Backoff ceiling.
+    /// Upper bound of every restart backoff.
     pub backoff_cap: Duration,
     /// Watchdog limit: an attempt that is marked busy but produces no
     /// heartbeat for this long is abandoned and replaced. `None`
@@ -197,57 +204,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-impl SupervisorConfig {
-    /// Alias for [`SupervisorConfig::default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the restart budget.
-    #[must_use]
-    pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
-        self.max_restarts = max_restarts;
-        self
-    }
-
-    /// Sets the backoff range.
-    #[must_use]
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets (or disables) the stall watchdog.
-    #[must_use]
-    pub fn with_stall_timeout(mut self, stall_timeout: Option<Duration>) -> Self {
-        self.stall_timeout = stall_timeout;
-        self
-    }
-
-    /// Sets how long a restarted attempt must run cleanly to clear
-    /// `Degraded`.
-    #[must_use]
-    pub fn with_recovered_after(mut self, recovered_after: Duration) -> Self {
-        self.recovered_after = recovered_after;
-        self
-    }
-
-    /// Sets the shutdown drain deadline.
-    #[must_use]
-    pub fn with_stop_deadline(mut self, stop_deadline: Duration) -> Self {
-        self.stop_deadline = stop_deadline;
-        self
-    }
-
-    /// Sets the backoff jitter seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// Heartbeat shared between one attempt and its watchdog.
 ///
 /// The attempt bumps `ticks` whenever it makes progress and flags
@@ -275,7 +231,7 @@ impl Beat {
 /// observes [`WorkCtx::live`] `== false` when it finally wakes and
 /// bows out instead of writing over its replacement's work.
 #[derive(Debug, Clone)]
-pub struct WorkCtx {
+pub(crate) struct WorkCtx {
     stop: Arc<AtomicBool>,
     beat: Arc<Beat>,
 }
@@ -330,29 +286,6 @@ enum AttemptEnd {
     Stalled,
 }
 
-/// `splitmix64`: the same tiny deterministic mixer the store's crash
-/// injection uses, for seeded backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Decorrelated-jitter backoff: uniformly in `[base, prev * 3]`,
-/// clamped to `[base, cap]`. Deterministic in `(seed, restart index)`.
-fn backoff_delay(config: &SupervisorConfig, seed: u64, restart: u32, prev: Duration) -> Duration {
-    let base = config.backoff_base.max(Duration::from_millis(1));
-    let cap = config.backoff_cap.max(base);
-    let span_ms = (prev.as_millis() as u64)
-        .saturating_mul(3)
-        .clamp(base.as_millis() as u64, cap.as_millis() as u64);
-    let low = base.as_millis() as u64;
-    let width = span_ms.saturating_sub(low).saturating_add(1);
-    let pick = low + splitmix64(seed ^ u64::from(restart)) % width;
-    Duration::from_millis(pick).min(cap)
-}
-
 /// Sleeps `total`, waking early when `stop` is raised.
 pub(crate) fn interruptible_sleep(total: Duration, stop: &AtomicBool) {
     let mut remaining = total;
@@ -371,10 +304,9 @@ const MONITOR_POLL: Duration = Duration::from_millis(5);
 /// seeded-backoff restarts, stall watchdog, bounded shutdown. See the
 /// module docs.
 #[derive(Debug)]
-pub struct Supervised {
+pub(crate) struct Supervised {
     stop: Arc<AtomicBool>,
     restarts: Arc<AtomicU64>,
-    health: HealthCell,
     monitor: Option<JoinHandle<()>>,
 }
 
@@ -401,7 +333,6 @@ impl Supervised {
         let monitor = {
             let stop = Arc::clone(&stop);
             let restarts = Arc::clone(&restarts);
-            let health = health.clone();
             std::thread::Builder::new()
                 .name(format!("{}-monitor", spec.name))
                 .spawn(move || monitor_loop(spec, config, &health, &restarts, &stop, &body))
@@ -410,15 +341,8 @@ impl Supervised {
         Supervised {
             stop,
             restarts,
-            health,
             monitor: Some(monitor),
         }
-    }
-
-    /// This task's health cell (cloneable; aggregate with
-    /// [`HealthState::merge`]).
-    pub fn health(&self) -> &HealthCell {
-        &self.health
     }
 
     /// Restarts performed so far (shared counter handed to
@@ -460,7 +384,7 @@ fn monitor_loop<F>(
     F: Fn(WorkCtx) -> Result<(), String> + Send + Sync + 'static,
 {
     let mut restart = 0u32;
-    let mut prev_delay = config.backoff_base;
+    let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap, config.seed);
     loop {
         let ctx = WorkCtx {
             stop: Arc::new(AtomicBool::new(stop.load(Ordering::SeqCst))),
@@ -519,11 +443,13 @@ fn monitor_loop<F>(
                 }
             }
             // A restarted attempt that has run cleanly long enough
-            // (and shown a heartbeat) re-earns Healthy.
+            // (and shown a heartbeat) re-earns Healthy, and the next
+            // crash backs off from the base again.
             if restart > 0 && !recovered && ticks > 0 && started.elapsed() >= config.recovered_after
             {
                 recovered = true;
                 health.resolve();
+                backoff.reset();
             }
             std::thread::sleep(MONITOR_POLL);
         };
@@ -548,9 +474,7 @@ fn monitor_loop<F>(
                     AttemptEnd::Stalled => spec.stall_reason,
                     _ => spec.restart_reason,
                 });
-                let delay = backoff_delay(&config, config.seed, restart, prev_delay);
-                prev_delay = delay;
-                interruptible_sleep(delay, stop);
+                interruptible_sleep(backoff.next_delay(), stop);
             }
         }
     }
@@ -570,10 +494,13 @@ mod tests {
     }
 
     fn fast_config() -> SupervisorConfig {
-        SupervisorConfig::new()
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(5))
-            .with_recovered_after(Duration::from_millis(30))
-            .with_stop_deadline(Duration::from_millis(500))
+        SupervisorConfig {
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(5),
+            recovered_after: Duration::from_millis(30),
+            stop_deadline: Duration::from_millis(500),
+            ..SupervisorConfig::default()
+        }
     }
 
     /// Polls until `pred` holds or the deadline passes.
@@ -650,7 +577,10 @@ mod tests {
         let restarts = Arc::new(AtomicU64::new(0));
         let mut task = Supervised::spawn(
             spec(),
-            fast_config().with_max_restarts(2),
+            SupervisorConfig {
+                max_restarts: 2,
+                ..fast_config()
+            },
             cell.clone(),
             Arc::clone(&restarts),
             |_ctx| Err("always broken".to_string()),
@@ -676,7 +606,10 @@ mod tests {
         let body_abandoned = Arc::clone(&abandoned_live);
         let mut task = Supervised::spawn(
             spec(),
-            fast_config().with_stall_timeout(Some(Duration::from_millis(40))),
+            SupervisorConfig {
+                stall_timeout: Some(Duration::from_millis(40)),
+                ..fast_config()
+            },
             cell.clone(),
             Arc::clone(&restarts),
             move |ctx| {
@@ -715,7 +648,10 @@ mod tests {
         let restarts = Arc::new(AtomicU64::new(0));
         let mut task = Supervised::spawn(
             spec(),
-            fast_config().with_stop_deadline(Duration::from_millis(50)),
+            SupervisorConfig {
+                stop_deadline: Duration::from_millis(50),
+                ..fast_config()
+            },
             cell,
             restarts,
             |ctx| {
@@ -733,25 +669,5 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "shutdown hung on a wedged attempt"
         );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let config = SupervisorConfig::new()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(200));
-        let mut prev = config.backoff_base;
-        for restart in 1..=10u32 {
-            let a = backoff_delay(&config, 7, restart, prev);
-            let b = backoff_delay(&config, 7, restart, prev);
-            assert_eq!(a, b, "same seed and index must give the same delay");
-            assert!(a >= Duration::from_millis(10) && a <= Duration::from_millis(200));
-            prev = a;
-        }
-        // A different seed diverges somewhere in the first few picks.
-        let diverges = (1..=5u32).any(|r| {
-            backoff_delay(&config, 1, r, config.backoff_base)
-                != backoff_delay(&config, 2, r, config.backoff_base)
-        });
-        assert!(diverges, "jitter ignored the seed");
     }
 }

@@ -131,9 +131,11 @@ impl TcpTransport {
                 }
             }
         };
-        let mut transport = TcpTransport::from_stream(stream);
-        transport.set_timeouts(options.read_timeout, options.write_timeout)?;
-        Ok(transport)
+        stream
+            .set_read_timeout(options.read_timeout)
+            .and_then(|()| stream.set_write_timeout(options.write_timeout))
+            .map_err(io_err("set timeouts"))?;
+        Ok(TcpTransport::from_stream(stream))
     }
 
     /// Wraps an already-connected stream.
@@ -148,26 +150,6 @@ impl TcpTransport {
             cumulative: Traffic::default(),
             exchanges: 0,
         }
-    }
-
-    /// Applies read/write timeouts to the underlying socket. `None`
-    /// blocks indefinitely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Io`] if the socket rejects the option.
-    pub fn set_timeouts(
-        &mut self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> Result<(), NodeError> {
-        self.stream
-            .set_read_timeout(read)
-            .and_then(|()| self.stream.set_write_timeout(write))
-            .map_err(|e| NodeError::Io {
-                context: "set timeouts",
-                kind: e.kind(),
-            })
     }
 
     /// The underlying stream, for protocol negotiation preambles

@@ -197,7 +197,6 @@ fn batch_survives_a_server_restart_byte_for_byte() {
     let addr = server.local_addr().to_string();
 
     let mut transport = ReconnectingTcpTransport::connect(&addr).unwrap();
-    transport.set_redial(10, Duration::from_millis(25));
     let mut light = LightNode::sync_from(&mut transport, config).unwrap();
 
     // First half of the batch against the original server.

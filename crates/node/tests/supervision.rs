@@ -14,8 +14,8 @@ use lvq_chain::{Address, Block, ChainBuilder, Transaction};
 use lvq_core::{Scheme, SchemeConfig};
 use lvq_node::{
     BlockFeed, FeedError, FullNode, Handled, HealthState, IngestConfig, LightNode, LiveNode,
-    MemoryFeed, NodeError, NodeServer, QuerySpec, ServeNode, ServerConfig, SupervisorConfig,
-    TcpTransport, TipIngester, WireErrorCode,
+    MemoryFeed, NodeError, NodeServer, QuerySpec, ServeNode, ServerConfig, TcpTransport,
+    TipIngester, WireErrorCode,
 };
 use lvq_store::{BlockStore, StoreConfig};
 
@@ -227,9 +227,6 @@ fn supervised_ingest_survives_a_panic_and_converges() {
             .with_min_batch(2)
             .with_max_batch(4)
             .with_poll(Duration::from_millis(1)),
-        SupervisorConfig::new()
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(10))
-            .with_recovered_after(Duration::from_millis(20)),
     );
 
     // The pipeline panics somewhere past height 5, restarts, resumes

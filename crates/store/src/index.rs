@@ -572,7 +572,7 @@ struct IndexInner {
 
 /// A persistent, authenticated [`TableSource`]: the chain's per-block
 /// derived state in a Merkle AVL tree over an append-only node log.
-/// See the [module docs](self) for the layout and invariants.
+/// The `index` module docs describe the layout and invariants.
 #[derive(Debug)]
 pub struct IndexedTables {
     dir: PathBuf,
@@ -684,51 +684,6 @@ impl IndexedTables {
             if let Some(root) = inner.tree.root() {
                 fetch(&tables.reader(&inner), root).map_err(avl_store_error)?;
             }
-        }
-        Ok(tables)
-    }
-
-    /// Like [`IndexedTables::open`], but additionally requires the root
-    /// to anchor exactly `expected_tip`.
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::open`], plus [`StoreError::StaleIndexRoot`]
-    /// when the anchored tip is not `expected_tip`.
-    pub fn open_at(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-        expected_tip: u64,
-    ) -> Result<Self, StoreError> {
-        Self::open_at_with_fs(
-            dir,
-            cache_bytes,
-            segment_target_bytes,
-            expected_tip,
-            Arc::new(RealFs),
-        )
-    }
-
-    /// [`IndexedTables::open_at`] with an explicit [`StoreFs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexedTables::open_at`].
-    pub fn open_at_with_fs(
-        dir: impl AsRef<Path>,
-        cache_bytes: usize,
-        segment_target_bytes: u64,
-        expected_tip: u64,
-        fs_impl: Arc<dyn StoreFs>,
-    ) -> Result<Self, StoreError> {
-        let tables = Self::open_with_fs(dir, cache_bytes, segment_target_bytes, fs_impl)?;
-        let root_tip = tables.tip();
-        if root_tip != expected_tip {
-            return Err(StoreError::StaleIndexRoot {
-                root_tip,
-                store_tip: expected_tip,
-            });
         }
         Ok(tables)
     }

@@ -269,7 +269,7 @@ impl BlockStore {
 
     /// Opens an existing store, recovering from a torn tail if needed.
     ///
-    /// See the [module docs](self) for the recovery rules; the returned
+    /// The `store` module docs give the recovery rules; the returned
     /// [`RecoveryReport`] says what, if anything, was repaired.
     ///
     /// # Errors
