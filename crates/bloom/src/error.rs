@@ -7,10 +7,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BloomError {
-    /// The requested filter size was zero.
-    ZeroSize,
-    /// The requested number of hash functions was zero.
-    ZeroHashes,
+    /// The requested filter size was zero or above 1 MiB.
+    SizeOutOfRange,
+    /// The requested number of hash functions was zero or above 50.
+    HashesOutOfRange,
     /// A binary operation combined filters with different parameters.
     ///
     /// Unioning filters of different sizes or hash counts would silently
@@ -21,8 +21,16 @@ pub enum BloomError {
 impl fmt::Display for BloomError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BloomError::ZeroSize => f.write_str("bloom filter size must be at least one byte"),
-            BloomError::ZeroHashes => f.write_str("bloom filter needs at least one hash function"),
+            BloomError::SizeOutOfRange => write!(
+                f,
+                "bloom filter size must be 1 to {} bytes",
+                crate::params::MAX_SIZE_BYTES
+            ),
+            BloomError::HashesOutOfRange => write!(
+                f,
+                "bloom filter needs 1 to {} hash functions",
+                crate::params::MAX_HASHES
+            ),
             BloomError::ParamsMismatch => f.write_str("bloom filters have mismatched parameters"),
         }
     }

@@ -2,8 +2,18 @@
 
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 
-use crate::analysis::optimal_k;
 use crate::error::BloomError;
+
+/// Largest filter a parameter set may describe, in bytes: 1 MiB, above
+/// the 500 KB the paper's Fig. 13 sweeps, and small enough that
+/// parameters read from a file or the wire cannot make a reader
+/// allocate gigabytes.
+pub(crate) const MAX_SIZE_BYTES: u32 = 1 << 20;
+
+/// Most hash functions a parameter set may ask for — BIP 37's cap. Every
+/// check collects its `k` bit positions up front, so an unbounded `k`
+/// would be an unbounded allocation.
+pub(crate) const MAX_HASHES: u32 = 50;
 
 /// Size, hash count and tweak of a Bloom filter.
 ///
@@ -35,34 +45,21 @@ impl BloomParams {
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::ZeroSize`] or [`BloomError::ZeroHashes`] for
-    /// degenerate arguments.
+    /// Returns [`BloomError::SizeOutOfRange`] unless `size_bytes` is in
+    /// `1..=1_048_576` and [`BloomError::HashesOutOfRange`] unless
+    /// `hashes` is in `1..=50`.
     pub fn new(size_bytes: u32, hashes: u32) -> Result<Self, BloomError> {
-        if size_bytes == 0 {
-            return Err(BloomError::ZeroSize);
+        if !(1..=MAX_SIZE_BYTES).contains(&size_bytes) {
+            return Err(BloomError::SizeOutOfRange);
         }
-        if hashes == 0 {
-            return Err(BloomError::ZeroHashes);
+        if !(1..=MAX_HASHES).contains(&hashes) {
+            return Err(BloomError::HashesOutOfRange);
         }
         Ok(BloomParams {
             size_bytes,
             hashes,
             tweak: 0,
         })
-    }
-
-    /// Creates parameters sized for `expected_items` at the
-    /// information-theoretically optimal hash count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BloomError::ZeroSize`] if `size_bytes` is zero.
-    pub fn sized_for(size_bytes: u32, expected_items: u64) -> Result<Self, BloomError> {
-        if size_bytes == 0 {
-            return Err(BloomError::ZeroSize);
-        }
-        let k = optimal_k(u64::from(size_bytes) * 8, expected_items).max(1);
-        BloomParams::new(size_bytes, k)
     }
 
     /// Returns a copy with the given BIP 37 tweak.
@@ -116,9 +113,15 @@ impl Decodable for BloomParams {
         let tweak = u32::decode_from(reader)?;
         BloomParams::new(size_bytes, hashes)
             .map(|p| p.with_tweak(tweak))
-            .map_err(|_| DecodeError::InvalidValue {
-                what: "bloom params",
-                found: u64::from(size_bytes.min(hashes)),
+            .map_err(|e| match e {
+                BloomError::SizeOutOfRange => DecodeError::InvalidValue {
+                    what: "bloom filter size",
+                    found: u64::from(size_bytes),
+                },
+                _ => DecodeError::InvalidValue {
+                    what: "bloom hash count",
+                    found: u64::from(hashes),
+                },
             })
     }
 }
@@ -130,19 +133,17 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert_eq!(BloomParams::new(0, 2), Err(BloomError::ZeroSize));
-        assert_eq!(BloomParams::new(10, 0), Err(BloomError::ZeroHashes));
-        assert_eq!(BloomParams::sized_for(0, 5), Err(BloomError::ZeroSize));
-    }
-
-    #[test]
-    fn sized_for_uses_optimal_k() {
-        // m = 80_000 bits, n = 10_000 items => k = round(ln2 * 8) = 6.
-        let p = BloomParams::sized_for(10_000, 10_000).unwrap();
-        assert_eq!(p.hashes(), 6);
-        // Very large n still yields k >= 1.
-        let p = BloomParams::sized_for(10, 1_000_000).unwrap();
-        assert_eq!(p.hashes(), 1);
+        assert_eq!(BloomParams::new(0, 2), Err(BloomError::SizeOutOfRange));
+        assert_eq!(BloomParams::new(10, 0), Err(BloomError::HashesOutOfRange));
+        assert_eq!(
+            BloomParams::new(MAX_SIZE_BYTES + 1, 2),
+            Err(BloomError::SizeOutOfRange)
+        );
+        assert_eq!(
+            BloomParams::new(10, MAX_HASHES + 1),
+            Err(BloomError::HashesOutOfRange)
+        );
+        assert!(BloomParams::new(MAX_SIZE_BYTES, MAX_HASHES).is_ok());
     }
 
     #[test]
@@ -160,5 +161,15 @@ mod tests {
         // Zero size on the wire is rejected.
         let bad = [0u8; 12];
         assert!(decode_exact::<BloomParams>(&bad).is_err());
+        // So is a hash count past the cap, named as such.
+        let mut bad = p.encode();
+        bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_exact::<BloomParams>(&bad),
+            Err(DecodeError::InvalidValue {
+                what: "bloom hash count",
+                found: u64::from(u32::MAX),
+            })
+        );
     }
 }

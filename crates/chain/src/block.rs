@@ -84,11 +84,7 @@ impl Block {
     /// transaction, inserted into a fresh filter with the given
     /// parameters.
     pub fn address_filter(&self, params: BloomParams) -> BloomFilter {
-        let mut filter = BloomFilter::new(params);
-        for (addr, _) in self.address_counts() {
-            filter.insert(addr.as_bytes());
-        }
-        filter
+        table_filter(params, &self.address_counts())
     }
 
     /// The block's sorted Merkle tree over `(address, count)` leaves.
@@ -96,14 +92,9 @@ impl Block {
     /// # Errors
     ///
     /// Never fails for a block (address keys are distinct by
-    /// construction); the `Result` mirrors [`SortedMerkleTree::new`].
+    /// construction); the `Result` mirrors the tree's constructor.
     pub fn address_smt(&self) -> Result<SortedMerkleTree, SmtError> {
-        SortedMerkleTree::new(
-            self.address_counts()
-                .into_iter()
-                .map(|(a, c)| (a.as_bytes().to_vec(), c))
-                .collect(),
-        )
+        table_smt(&self.address_counts())
     }
 
     /// Indices of the transactions involving `address`.
@@ -121,6 +112,33 @@ impl Block {
     pub fn integral_size(&self) -> usize {
         self.encoded_len()
     }
+}
+
+/// The Bloom filter over an address table — a block's BMT leaf and the
+/// filter `bf_hash` commits to. Every address is inserted once; the
+/// counts play no part.
+pub(crate) fn table_filter(params: BloomParams, table: &[(Address, u64)]) -> BloomFilter {
+    let mut filter = BloomFilter::new(params);
+    for (addr, _) in table {
+        filter.insert(addr.as_bytes());
+    }
+    filter
+}
+
+/// The sorted Merkle tree over an address table's `(address, count)`
+/// leaves — the tree a header's SMT commitment commits to.
+///
+/// # Errors
+///
+/// Returns [`SmtError::DuplicateKey`] if the table repeats an address,
+/// which a table from [`Block::address_counts`] never does.
+pub(crate) fn table_smt(table: &[(Address, u64)]) -> Result<SortedMerkleTree, SmtError> {
+    SortedMerkleTree::new(
+        table
+            .iter()
+            .map(|(a, c)| (a.as_bytes().to_vec(), *c))
+            .collect(),
+    )
 }
 
 impl Encodable for Block {

@@ -1,18 +1,16 @@
 //! Incremental chain construction.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use lvq_crypto::Hash256;
-use lvq_merkle::bmt::BmtBuilder;
-use lvq_merkle::{MerkleTree, SortedMerkleTree};
+use lvq_merkle::MerkleTree;
 
-use crate::address::Address;
-use crate::block::Block;
+use crate::block::{table_filter, table_smt, Block};
 use crate::chain::Chain;
 use crate::error::ChainError;
 use crate::header::{BlockHeader, HeaderCommitments};
 use crate::params::ChainParams;
+use crate::source::{BlockSource, InMemoryBlocks};
+use crate::tables::InMemoryTables;
 use crate::transaction::Transaction;
 
 /// First block timestamp: late November 2012, the era of the paper's
@@ -21,8 +19,10 @@ const GENESIS_TIMESTAMP: u32 = 1_353_000_000;
 /// Bitcoin's ten-minute target spacing.
 const BLOCK_SPACING_SECS: u32 = 600;
 
-/// Assembles a [`Chain`] block by block, computing every commitment the
-/// configured [`crate::CommitmentPolicy`] requires.
+/// Mints blocks onto an in-memory [`Chain`]: each pushed transaction
+/// list gets a header carrying every commitment the configured
+/// [`crate::CommitmentPolicy`] requires, and the chain records it
+/// through the same step [`Chain::extend_one`] uses.
 ///
 /// # Examples
 ///
@@ -43,93 +43,53 @@ const BLOCK_SPACING_SECS: u32 = 600;
 /// ```
 #[derive(Debug)]
 pub struct ChainBuilder {
-    params: ChainParams,
-    blocks: Vec<Block>,
-    addr_counts: Vec<Arc<Vec<(Address, u64)>>>,
-    span_hashes: HashMap<(u64, u64), Hash256>,
-    bmt_builder: Option<BmtBuilder>,
-    prev_hash: Hash256,
+    chain: Chain,
 }
 
 impl ChainBuilder {
-    /// Creates an empty builder.
+    /// Creates a builder over an empty chain.
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::Bmt`] if the BMT builder rejects the
-    /// parameters (cannot happen for parameters validated by
-    /// [`ChainParams::new`]).
+    /// None today: an empty in-memory chain always assembles.
     pub fn new(params: ChainParams) -> Result<Self, ChainError> {
-        let bmt_builder = if params.policy().bmt {
-            Some(BmtBuilder::new(params.bloom(), params.segment_len(), 1)?)
-        } else {
-            None
-        };
-        Ok(ChainBuilder {
+        let empty = Chain::from_restored_parts(
             params,
-            blocks: Vec::new(),
-            addr_counts: Vec::new(),
-            span_hashes: HashMap::new(),
-            bmt_builder,
-            prev_hash: Hash256::ZERO,
-        })
+            Vec::new(),
+            Default::default(),
+            InMemoryBlocks::default(),
+            InMemoryTables::new(),
+        )?;
+        ChainBuilder::resume(empty)
     }
 
     /// Resumes building on top of a finished chain — what a full node
-    /// does when new blocks arrive after a restart.
-    ///
-    /// The BMT builder's mid-segment state is reconstructed from the
-    /// chain's stored span hashes and recomputed span filters; appended
-    /// blocks commit exactly as if the chain had been built in one go.
+    /// does when new blocks arrive after a restart. Appended blocks
+    /// commit exactly as if the chain had been built in one go: the
+    /// chain keeps its live BMT builder, or rebuilds it from its span
+    /// hashes when the next block arrives.
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::Bmt`] if the chain's recorded span hashes
-    /// are inconsistent (i.e. the chain was corrupted).
-    pub fn resume(mut chain: Chain) -> Result<Self, ChainError> {
-        let params = chain.params();
-        let tip = chain.tip_height();
-        let prev_hash = if tip == 0 {
-            Hash256::ZERO
-        } else {
-            chain.header(tip)?.block_hash()
-        };
-
-        // The chain hands back its live builder when it kept one,
-        // reconstructing the partial segment from stored span hashes
-        // otherwise.
-        let bmt_builder = chain.take_or_rebuild_bmt_builder()?;
-
-        let Chain {
-            source,
-            tables,
-            span_hashes,
-            ..
-        } = chain;
-        let blocks = source.into_blocks();
-        Ok(ChainBuilder {
-            params,
-            blocks,
-            addr_counts: tables.into_tables(),
-            span_hashes,
-            bmt_builder,
-            prev_hash,
-        })
+    /// None today; a chain whose span hashes are inconsistent fails on
+    /// the next [`ChainBuilder::push_block`] instead.
+    pub fn resume(chain: Chain) -> Result<Self, ChainError> {
+        Ok(ChainBuilder { chain })
     }
 
     /// The configuration this builder commits against.
     pub fn params(&self) -> ChainParams {
-        self.params
+        self.chain.params()
     }
 
     /// Height the next pushed block will get.
     pub fn next_height(&self) -> u64 {
-        self.blocks.len() as u64 + 1
+        self.chain.tip_height() + 1
     }
 
     /// Header of the most recently pushed block, if any.
     pub fn last_header(&self) -> Option<BlockHeader> {
-        self.blocks.last().map(|b| b.header)
+        self.chain.headers.last().copied()
     }
 
     /// Appends a block containing `transactions` and returns its height.
@@ -147,88 +107,61 @@ impl ChainBuilder {
             return Err(ChainError::MissingCoinbase);
         }
         let height = self.next_height();
+        let mut block = Block {
+            header: BlockHeader {
+                version: 2,
+                prev_block: self.chain.tip_hash(),
+                merkle_root: MerkleTree::from_leaves(
+                    transactions.iter().map(Transaction::txid).collect(),
+                )
+                .root(),
+                timestamp: GENESIS_TIMESTAMP
+                    .wrapping_add(BLOCK_SPACING_SECS.wrapping_mul(height as u32)),
+                bits: 0x1b00_8000,
+                nonce: height as u32,
+                commitments: HeaderCommitments::default(),
+            },
+            transactions,
+        };
 
-        let merkle_root =
-            MerkleTree::from_leaves(transactions.iter().map(Transaction::txid).collect()).root();
-
-        // One address-table pass feeds the BF, the SMT, and the stored
-        // per-block table.
-        let mut counts: std::collections::BTreeMap<&Address, u64> = Default::default();
-        for tx in &transactions {
-            for addr in tx.addresses() {
-                *counts.entry(addr).or_insert(0) += 1;
-            }
-        }
-        let addr_counts: Vec<(Address, u64)> =
-            counts.into_iter().map(|(a, c)| (a.clone(), c)).collect();
-
-        let mut filter = lvq_bloom::BloomFilter::new(self.params.bloom());
-        for (addr, _) in &addr_counts {
-            filter.insert(addr.as_bytes());
-        }
-
-        let policy = self.params.policy();
-        let mut commitments = HeaderCommitments::default();
-        if policy.bf_hash {
+        // One address table feeds the filter, the SMT and the stored
+        // per-block table; one filter feeds `bf_hash` and the BMT leaf.
+        let params = self.chain.params();
+        let table = block.address_counts();
+        let filter = table_filter(params.bloom(), &table);
+        let commitments = &mut block.header.commitments;
+        if params.policy().bf_hash {
             commitments.bf_hash = Some(filter.content_hash());
         }
-        if policy.smt {
-            let smt = SortedMerkleTree::new(
-                addr_counts
-                    .iter()
-                    .map(|(a, c)| (a.as_bytes().to_vec(), *c))
-                    .collect(),
-            )?;
-            commitments.smt_commitment = Some(smt.commitment());
+        if params.policy().smt {
+            commitments.smt_commitment = Some(table_smt(&table)?.commitment());
         }
-        if let Some(builder) = self.bmt_builder.as_mut() {
-            let commit = builder.push_leaf(filter)?;
-            commitments.bmt_root = Some(commit.root);
-            for span in commit.new_spans {
-                self.span_hashes.insert((span.lo, span.hi), span.hash);
-            }
+        let mut new_spans = Vec::new();
+        if params.policy().bmt {
+            let (root, spans) = self.chain.push_leaf(filter)?;
+            commitments.bmt_root = Some(root);
+            new_spans = spans;
         }
 
-        let header = BlockHeader {
-            version: 2,
-            prev_block: self.prev_hash,
-            merkle_root,
-            timestamp: GENESIS_TIMESTAMP
-                .wrapping_add(BLOCK_SPACING_SECS.wrapping_mul(height as u32)),
-            bits: 0x1b00_8000,
-            nonce: height as u32,
-            commitments,
-        };
-        self.prev_hash = header.block_hash();
-
-        self.addr_counts.push(Arc::new(addr_counts));
-        self.blocks.push(Block {
-            header,
-            transactions,
-        });
+        self.chain.record(block.header, table, &new_spans)?;
+        self.chain.source.push_block(Arc::new(block))?;
         Ok(height)
     }
 
-    /// Finishes construction. The live BMT builder is carried into the
-    /// chain so a later [`Chain::extend_one`] continues the partial
-    /// segment without replaying it.
+    /// Finishes construction, handing back the chain the builder grew.
     pub fn finish(self) -> Chain {
-        Chain::from_parts(
-            self.params,
-            self.blocks,
-            self.addr_counts,
-            self.span_hashes,
-            self.bmt_builder,
-        )
+        self.chain
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::Address;
     use crate::params::CommitmentPolicy;
     use crate::transaction::{TxInput, TxOutPoint, TxOutput};
     use lvq_bloom::BloomParams;
+    use lvq_crypto::Hash256;
     use lvq_merkle::bmt::{self, BmtSource};
 
     fn small_params(policy: CommitmentPolicy) -> ChainParams {

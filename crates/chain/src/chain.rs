@@ -14,7 +14,7 @@ use lvq_merkle::bmt::{merge_count, BmtBuilder, BmtSource};
 use lvq_merkle::{MerkleTree, SortedMerkleTree};
 
 use crate::address::Address;
-use crate::block::Block;
+use crate::block::{table_filter, table_smt, Block};
 use crate::error::ChainError;
 use crate::header::BlockHeader;
 use crate::params::{CacheConfig, ChainParams};
@@ -212,45 +212,25 @@ pub struct Chain<S: BlockSource = InMemoryBlocks, T: TableSource = InMemoryTable
     pub(crate) span_hashes: HashMap<(u64, u64), Hash256>,
     /// Block storage.
     pub(crate) source: S,
-    /// The live BMT builder positioned at `tip + 1`, retained so
-    /// [`Chain::extend_one`] appends without replaying the segment.
-    /// `None` either because the policy commits no BMT or because the
-    /// chain was produced by a path that did not keep one; in the
-    /// latter case extension rebuilds it from the stored span hashes.
+    /// The live BMT builder positioned at `tip + 1`, retained so the
+    /// next block appends without replaying the segment. `None` either
+    /// because the policy commits no BMT or because the chain has not
+    /// built one since it was restored, rewound or refused a table
+    /// push; the next block then rebuilds it from the span hashes.
     pub(crate) bmt_builder: Option<BmtBuilder>,
     /// Memoised span filters, SMTs and transaction trees.
     memos: Memos,
 }
 
-impl Chain {
-    pub(crate) fn from_parts(
-        params: ChainParams,
-        blocks: Vec<Block>,
-        addr_counts: Vec<Arc<Vec<(Address, u64)>>>,
-        span_hashes: HashMap<(u64, u64), Hash256>,
-        bmt_builder: Option<BmtBuilder>,
-    ) -> Self {
-        let headers = blocks.iter().map(|b| b.header).collect();
-        Chain {
-            params,
-            headers,
-            tables: InMemoryTables::from_tables(addr_counts),
-            span_hashes,
-            source: InMemoryBlocks::new(blocks),
-            bmt_builder,
-            memos: Memos::new(params.cache_config()),
-        }
-    }
-}
-
 impl<S: BlockSource> Chain<S> {
     /// Assembles a chain over `source` without replaying commitments.
     ///
-    /// One streaming pass over the blocks rebuilds the derived state a
-    /// chain needs to answer queries: headers, per-block address tables,
-    /// and — when the policy commits a BMT — the dyadic span hashes,
-    /// regenerated through the same incremental [`BmtBuilder`] the
-    /// original build used. Header chaining (each block's
+    /// One sequential [`BlockSource::scan`] reads each block's header
+    /// and address table, then the chain absorbs them in order exactly
+    /// as [`Chain::extend_one`] would: headers, per-block address
+    /// tables, and — when the policy commits a BMT — the dyadic span
+    /// hashes, regenerated through the same incremental [`BmtBuilder`]
+    /// the original build used. Header chaining (each block's
     /// `prev_block` hash) is still checked, but transaction Merkle
     /// roots, SMT commitments, and filter content hashes are *trusted*:
     /// use this only on storage you own, where record checksums (or an
@@ -261,46 +241,22 @@ impl<S: BlockSource> Chain<S> {
     /// Returns [`ChainError::BrokenChainLink`] if the headers do not
     /// chain, or any error from the source or the BMT builder.
     pub fn assemble_trusted(params: ChainParams, source: S) -> Result<Self, ChainError> {
-        let mut headers: Vec<BlockHeader> = Vec::new();
-        let mut addr_counts: Vec<Arc<Vec<(Address, u64)>>> = Vec::new();
-        let mut span_hashes: HashMap<(u64, u64), Hash256> = HashMap::new();
-        let mut bmt_builder = if params.policy().bmt {
-            Some(BmtBuilder::new(params.bloom(), params.segment_len(), 1)?)
-        } else {
-            None
-        };
-        let mut prev_hash = Hash256::ZERO;
-
-        source.scan(&mut |height, block| {
-            if block.header.prev_block != prev_hash {
-                return Err(ChainError::BrokenChainLink { height });
-            }
-            prev_hash = block.header.block_hash();
-            let counts = block.address_counts();
-            if let Some(builder) = bmt_builder.as_mut() {
-                let mut filter = BloomFilter::new(params.bloom());
-                for (addr, _) in &counts {
-                    filter.insert(addr.as_bytes());
-                }
-                let commit = builder.push_leaf(filter)?;
-                for span in commit.new_spans {
-                    span_hashes.insert((span.lo, span.hi), span.hash);
-                }
-            }
-            headers.push(block.header);
-            addr_counts.push(Arc::new(counts));
+        let mut scanned = Vec::new();
+        source.scan(&mut |_, block| {
+            scanned.push((block.header, block.address_counts()));
             Ok(())
         })?;
-
-        Ok(Chain {
+        let mut chain = Chain::from_restored_parts(
             params,
-            headers,
-            tables: InMemoryTables::from_tables(addr_counts),
-            span_hashes,
+            Vec::new(),
+            HashMap::new(),
             source,
-            bmt_builder,
-            memos: Memos::new(params.cache_config()),
-        })
+            InMemoryTables::new(),
+        )?;
+        for (header, table) in scanned {
+            chain.absorb(header, table)?;
+        }
+        Ok(chain)
     }
 }
 
@@ -371,47 +327,84 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
     /// next block does not chain onto the tip header, or any source or
     /// BMT builder error.
     pub fn extend_one(&mut self) -> Result<u64, ChainError> {
+        let block = self.source.block(self.tip_height() + 1)?;
+        self.absorb(block.header, block.address_counts())
+    }
+
+    /// Absorbs the block at `tip + 1` whose commitments are trusted:
+    /// checks that `header` links onto the tip, pushes the leaf filter
+    /// of `table` into the BMT builder when the policy commits one, and
+    /// records the block.
+    fn absorb(
+        &mut self,
+        header: BlockHeader,
+        table: Vec<(Address, u64)>,
+    ) -> Result<u64, ChainError> {
+        if header.prev_block != self.tip_hash() {
+            return Err(ChainError::BrokenChainLink {
+                height: self.tip_height() + 1,
+            });
+        }
+        let mut new_spans = Vec::new();
+        if self.params.policy().bmt {
+            new_spans = self.push_leaf(table_filter(self.params.bloom(), &table))?.1;
+        }
+        self.record(header, table, &new_spans)
+    }
+
+    /// Pushes the leaf filter of the block at `tip + 1` into the live
+    /// BMT builder, first rebuilding the builder from the span hashes
+    /// if the chain holds none, and returns the block's BMT root with
+    /// the spans its leaf finalised.
+    pub(crate) fn push_leaf(
+        &mut self,
+        filter: BloomFilter,
+    ) -> Result<(Hash256, Vec<SpanRecord>), ChainError> {
+        let mut builder = match self.bmt_builder.take() {
+            Some(builder) => builder,
+            None => self.rebuild_bmt_builder()?,
+        };
+        let commit = builder.push_leaf(filter);
+        self.bmt_builder = Some(builder);
+        let commit = commit?;
+        let spans = commit
+            .new_spans
+            .into_iter()
+            .map(|span| SpanRecord {
+                lo: span.lo,
+                hi: span.hi,
+                hash: span.hash,
+            })
+            .collect();
+        Ok((commit.root, spans))
+    }
+
+    /// Records the block at `tip + 1`, whose leaf (if any) the BMT
+    /// builder already holds: the table source first, then the span
+    /// hashes and the header, so a refused table push leaves the
+    /// previous tip intact. Every block enters the chain here.
+    pub(crate) fn record(
+        &mut self,
+        header: BlockHeader,
+        table: Vec<(Address, u64)>,
+        new_spans: &[SpanRecord],
+    ) -> Result<u64, ChainError> {
         let height = self.tip_height() + 1;
-        let block = self.source.block(height)?;
-        if block.header.prev_block != self.tip_hash() {
-            return Err(ChainError::BrokenChainLink { height });
-        }
-        let counts = Arc::new(block.address_counts());
-        if self.params.policy().bmt && self.bmt_builder.is_none() {
-            self.bmt_builder = self.take_or_rebuild_bmt_builder()?;
-        }
-        let mut new_spans: Vec<SpanRecord> = Vec::new();
-        if let Some(builder) = self.bmt_builder.as_mut() {
-            let mut filter = BloomFilter::new(self.params.bloom());
-            for (addr, _) in counts.iter() {
-                filter.insert(addr.as_bytes());
-            }
-            let commit = builder.push_leaf(filter)?;
-            for span in commit.new_spans {
-                new_spans.push(SpanRecord {
-                    lo: span.lo,
-                    hi: span.hi,
-                    hash: span.hash,
-                });
-            }
-        }
         if let Err(e) = self.tables.push(TableUpdate {
             height,
-            header: &block.header,
-            table: counts,
-            new_spans: &new_spans,
+            header: &header,
+            table: Arc::new(table),
+            new_spans,
         }) {
             // The builder already consumed this block's leaf; drop it so
             // a retry rebuilds it from the span hashes at the old tip.
             self.bmt_builder = None;
             return Err(e);
         }
-        // Only after the table source accepted the block does the chain
-        // adopt it: a failed push leaves the previous tip intact.
-        for span in &new_spans {
+        for span in new_spans {
             self.span_hashes.insert((span.lo, span.hi), span.hash);
         }
-        self.headers.push(block.header);
+        self.headers.push(header);
         Ok(height)
     }
 
@@ -447,17 +440,10 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
         Ok(absorbed)
     }
 
-    /// Hands out the live BMT builder, rebuilding it from stored span
-    /// hashes and recomputed span filters when no builder was retained —
-    /// the dyadic decomposition of the partial segment, widest first.
-    /// Returns `None` iff the policy commits no BMT.
-    pub(crate) fn take_or_rebuild_bmt_builder(&mut self) -> Result<Option<BmtBuilder>, ChainError> {
-        if !self.params.policy().bmt {
-            return Ok(None);
-        }
-        if let Some(builder) = self.bmt_builder.take() {
-            return Ok(Some(builder));
-        }
+    /// A BMT builder positioned at `tip + 1`, rebuilt from stored span
+    /// hashes and recomputed span filters: the dyadic decomposition of
+    /// the partial segment, widest first.
+    fn rebuild_bmt_builder(&self) -> Result<BmtBuilder, ChainError> {
         let tip = self.tip_height();
         let m = self.params.segment_len();
         let mut rem = tip % m;
@@ -476,13 +462,13 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             start += width;
             rem -= width;
         }
-        Ok(Some(BmtBuilder::resume(
+        Ok(BmtBuilder::resume(
             self.params.bloom(),
             m,
             1,
             tip + 1,
             stack,
-        )?))
+        )?)
     }
 
     /// The chain's configuration.
@@ -710,11 +696,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             return Ok(hit);
         }
         let filter = if lo == hi {
-            let mut filter = BloomFilter::new(self.params.bloom());
-            for (addr, _) in self.tables.table(lo)?.iter() {
-                filter.insert(addr.as_bytes());
-            }
-            filter
+            table_filter(self.params.bloom(), &self.tables.table(lo)?)
         } else {
             let mid = lo + (hi - lo) / 2;
             let left = self.span_filter_memo(lo, mid, stash.as_deref_mut())?;
@@ -754,15 +736,7 @@ impl<S: BlockSource, T: TableSource> Chain<S, T> {
             return Ok(hit);
         }
         let table = self.tables.table(height)?;
-        let smt = Arc::new(
-            SortedMerkleTree::new(
-                table
-                    .iter()
-                    .map(|(a, c)| (a.as_bytes().to_vec(), *c))
-                    .collect(),
-            )
-            .map_err(ChainError::Smt)?,
-        );
+        let smt = Arc::new(table_smt(&table)?);
         // Approximate footprint: keys + counts + two hash levels per
         // entry. Only used to bound the cache, not for accounting.
         let size = table
@@ -1344,6 +1318,67 @@ mod tests {
         assert_eq!(chain.headers(), built.headers());
         assert_eq!(chain.span_hashes, built.span_hashes);
         chain.validate().unwrap();
+    }
+
+    /// In-memory tables that refuse the push of one height, once.
+    #[derive(Debug)]
+    struct RefusesOnce {
+        tables: InMemoryTables,
+        refuse: Option<u64>,
+    }
+
+    impl TableSource for RefusesOnce {
+        fn len(&self) -> u64 {
+            self.tables.len()
+        }
+
+        fn table(&self, height: u64) -> Result<Arc<Vec<(Address, u64)>>, ChainError> {
+            self.tables.table(height)
+        }
+
+        fn push(&mut self, update: TableUpdate<'_>) -> Result<(), ChainError> {
+            if self.refuse == Some(update.height) {
+                self.refuse = None;
+                return Err(ChainError::Source {
+                    detail: "push refused".into(),
+                });
+            }
+            self.tables.push(update)
+        }
+    }
+
+    #[test]
+    fn a_refused_table_push_keeps_the_tip_and_the_retry_matches_a_straight_build() {
+        for policy in [CommitmentPolicy::lvq(), CommitmentPolicy::lvq_without_smt()] {
+            // M = 8: height 11 sits mid-segment, after the builder has
+            // merged 9..=10, so a leaf it kept from the refused push
+            // would shift every later span.
+            let (params, blocks, built) = varied_blocks(policy, 13);
+            let tables = RefusesOnce {
+                tables: InMemoryTables::new(),
+                refuse: Some(11),
+            };
+            let mut chain = Chain::from_restored_parts(
+                params,
+                Vec::new(),
+                HashMap::new(),
+                InMemoryBlocks::new(blocks),
+                tables,
+            )
+            .unwrap();
+            assert!(matches!(
+                chain.extend_batch(u64::MAX),
+                Err(ChainError::Source { .. })
+            ));
+            assert_eq!(chain.tip_height(), 10);
+            assert_eq!(chain.headers(), built.headers()[..10]);
+            assert!(chain.span_hashes.keys().all(|&(_, hi)| hi <= 10));
+
+            assert_eq!(chain.extend_batch(u64::MAX).unwrap(), 3);
+            assert_eq!(chain.headers(), built.headers());
+            assert_eq!(chain.span_hashes, built.span_hashes, "policy {policy:?}");
+            chain.validate().unwrap();
+        }
     }
 
     #[test]

@@ -112,27 +112,14 @@ pub struct InMemoryBlocks {
 impl InMemoryBlocks {
     /// Wraps an ordered block vector (index 0 is height 1).
     pub fn new(blocks: Vec<Block>) -> Self {
-        InMemoryBlocks::from_arcs(blocks.into_iter().map(Arc::new).collect())
-    }
-
-    pub(crate) fn from_arcs(blocks: Vec<Arc<Block>>) -> Self {
         let total_bytes = blocks
             .iter()
-            .map(|b| lvq_codec::Encodable::encoded_len(&**b) as u64)
+            .map(|b| lvq_codec::Encodable::encoded_len(b) as u64)
             .sum();
         InMemoryBlocks {
-            blocks,
+            blocks: blocks.into_iter().map(Arc::new).collect(),
             total_bytes,
         }
-    }
-
-    /// Unwraps back into plain blocks (cloning any block that is still
-    /// shared).
-    pub(crate) fn into_blocks(self) -> Vec<Block> {
-        self.blocks
-            .into_iter()
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
-            .collect()
     }
 }
 

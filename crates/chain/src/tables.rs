@@ -162,21 +162,6 @@ impl InMemoryTables {
     pub fn new() -> Self {
         InMemoryTables::default()
     }
-
-    /// Wraps an ordered table vector (index 0 is height 1).
-    pub fn from_tables(tables: Vec<Arc<Vec<(Address, u64)>>>) -> Self {
-        let total_bytes = tables.iter().map(|t| table_bytes(t)).sum();
-        InMemoryTables {
-            tables,
-            total_bytes,
-        }
-    }
-
-    /// Consumes the source, handing back the ordered table vector —
-    /// lets [`crate::ChainBuilder::resume`] reclaim a chain's state.
-    pub fn into_tables(self) -> Vec<Arc<Vec<(Address, u64)>>> {
-        self.tables
-    }
 }
 
 impl TableSource for InMemoryTables {
