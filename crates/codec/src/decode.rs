@@ -145,8 +145,9 @@ pub trait Decodable: Sized {
 /// `claimed_len` is attacker-controlled. The reservation is capped in
 /// *bytes* at the input that is left, so a decoder never pre-allocates
 /// more memory than it was handed: a sequence whose elements are wider
-/// in memory than on the wire grows as it is validated instead.
-fn prealloc_elements(claimed_len: usize, remaining_bytes: usize, elem_size: usize) -> usize {
+/// in memory than on the wire grows as it is validated instead. Every
+/// hand-written decoder of a counted sequence reserves through this.
+pub fn prealloc_elements(claimed_len: usize, remaining_bytes: usize, elem_size: usize) -> usize {
     claimed_len.min(remaining_bytes / elem_size.max(1))
 }
 

@@ -33,7 +33,7 @@ mod encode;
 mod error;
 mod varint;
 
-pub use decode::{decode_exact, Decodable, Reader};
+pub use decode::{decode_exact, prealloc_elements, Decodable, Reader};
 pub use encode::Encodable;
 pub use error::DecodeError;
 pub use varint::{compact_size_len, read_compact_size, write_compact_size};

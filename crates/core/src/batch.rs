@@ -1,28 +1,25 @@
 //! Batched multi-address query responses.
 //!
 //! A light node with several addresses of interest (its own wallet plus
-//! watch-only addresses, say) can query them one message at a time — or
-//! batch them. Batching pays off twice:
-//!
-//! * **bytes** — under the BMT schemes, one shared descent per segment
-//!   ([`lvq_merkle::bmt::prove_multi`]) replaces N single-address
-//!   proofs, and under the per-block schemes each block's filter is
-//!   transmitted once instead of N times;
-//! * **time** — the prover walks each segment (or block) once, and the
-//!   chain's span-filter cache is hot for every address after the
-//!   first.
+//! watch-only addresses, say) can batch them into one query: one shared
+//! BMT descent per segment ([`lvq_merkle::bmt::prove_multi`]), or each
+//! block's filter once under the per-block schemes, serves every
+//! address. This is the prover's and the verifier's only path — a
+//! single-address query is the batch of one, sent in the
+//! [`crate::QueryResponse`] encoding.
 //!
 //! The response carries one *section* per address, in request order, so
-//! the verifier produces one independent
-//! [`crate::VerifiedHistory`] per address — each exactly as strong as a
-//! dedicated single-address verification (see the soundness notes in
-//! [`lvq_merkle::bmt::prove_multi`]'s module).
+//! the verifier produces one independent [`crate::VerifiedHistory`] per
+//! address, each exactly as strong as the batch of that address alone
+//! (see the soundness notes in [`lvq_merkle::bmt::prove_multi`]'s
+//! module).
 
 use lvq_bloom::BloomFilter;
-use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
+use lvq_codec::{prealloc_elements, Decodable, DecodeError, Encodable, Reader};
 use lvq_merkle::BmtBatchProof;
 
 use crate::fragment::BlockFragment;
+use crate::result::{decode_section, encode_section, section_len};
 
 /// One block's worth of a batched per-block response: the filter is
 /// transmitted once, followed by one fragment per queried address in
@@ -100,45 +97,25 @@ impl Encodable for BatchSegmentBundle {
         self.proof.encode_into(out);
         lvq_codec::write_compact_size(out, self.sections.len() as u64);
         for section in &self.sections {
-            lvq_codec::write_compact_size(out, section.len() as u64);
-            for (height, fragment) in section {
-                lvq_codec::write_compact_size(out, *height);
-                fragment.encode_into(out);
-            }
+            encode_section(section, out);
         }
     }
 
     fn encoded_len(&self) -> usize {
         self.proof.encoded_len()
             + lvq_codec::compact_size_len(self.sections.len() as u64)
-            + self
-                .sections
-                .iter()
-                .map(|section| {
-                    lvq_codec::compact_size_len(section.len() as u64)
-                        + section
-                            .iter()
-                            .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+            + self.sections.iter().map(|s| section_len(s)).sum::<usize>()
     }
 }
 
 impl Decodable for BatchSegmentBundle {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let proof = BmtBatchProof::decode_from(reader)?;
-        let section_count = reader.read_len()?;
-        let mut sections = Vec::with_capacity(section_count.min(reader.remaining()));
-        for _ in 0..section_count {
-            let count = reader.read_len()?;
-            let mut section = Vec::with_capacity(count.min(reader.remaining()));
-            for _ in 0..count {
-                let height = lvq_codec::read_compact_size(reader)?;
-                let fragment = BlockFragment::decode_from(reader)?;
-                section.push((height, fragment));
-            }
-            sections.push(section);
+        let count = reader.read_len()?;
+        let size = std::mem::size_of::<Vec<(u64, BlockFragment)>>();
+        let mut sections = Vec::with_capacity(prealloc_elements(count, reader.remaining(), size));
+        for _ in 0..count {
+            sections.push(decode_section(reader)?);
         }
         Ok(BatchSegmentBundle { proof, sections })
     }

@@ -2,7 +2,7 @@
 
 use lvq_bloom::BloomFilter;
 use lvq_chain::{Address, BlockSource, Chain, InMemoryBlocks, InMemoryTables, TableSource};
-use lvq_merkle::bmt::{self, BmtBatchNode, BmtProofNode};
+use lvq_merkle::bmt::{self, BmtBatchNode};
 
 use crate::batch::{
     BatchBlockEntry, BatchPerBlockResponse, BatchQueryResponse, BatchSegmentBundle,
@@ -10,9 +10,7 @@ use crate::batch::{
 };
 use crate::error::ProveError;
 use crate::fragment::{BlockFragment, ExistenceProof, TxWithBranch};
-use crate::result::{
-    BlockEntry, PerBlockResponse, QueryResponse, SegmentBundle, SegmentedResponse,
-};
+use crate::result::QueryResponse;
 use crate::scheme::{Scheme, SchemeConfig};
 use crate::segment::segments;
 use crate::stats::ProverStats;
@@ -85,7 +83,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
     /// (wrong scheme, corrupted chain); honest configurations never
     /// fail.
     pub fn respond(&self, address: &Address) -> Result<(QueryResponse, ProverStats), ProveError> {
-        self.respond_over(address, 1, self.chain.tip_height())
+        self.batch_of_one(address, self.respond_batch(std::slice::from_ref(address)))
     }
 
     /// Answers a query restricted to blocks `lo..=hi` (paper §VII-A:
@@ -109,96 +107,22 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         lo: u64,
         hi: u64,
     ) -> Result<(QueryResponse, ProverStats), ProveError> {
-        if lo == 0 || lo > hi || hi > self.chain.tip_height() {
-            return Err(ProveError::InvalidRange {
-                lo,
-                hi,
-                tip: self.chain.tip_height(),
-            });
-        }
-        self.respond_over(address, lo, hi)
+        let batch = self.respond_batch_range(std::slice::from_ref(address), lo, hi);
+        self.batch_of_one(address, batch)
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn respond_over(
+    /// A single-address query is the batch of one, re-tagged into the
+    /// single-address encoding; its proof statistics move to
+    /// [`ProverStats::bmt`].
+    fn batch_of_one(
         &self,
         address: &Address,
-        lo: u64,
-        hi: u64,
+        batch: Result<(BatchQueryResponse, ProverStats), ProveError>,
     ) -> Result<(QueryResponse, ProverStats), ProveError> {
+        let (batch, mut stats) = batch?;
+        stats.bmt = std::mem::take(&mut stats.batch_bmt);
         let positions = BloomFilter::bit_positions(self.config.bloom(), address.as_bytes());
-        let mut stats = ProverStats::default();
-        let response = if self.config.scheme().is_per_block() {
-            QueryResponse::PerBlock(
-                self.respond_per_block(address, lo, hi, &positions, &mut stats)?,
-            )
-        } else {
-            QueryResponse::Segmented(
-                self.respond_segmented(address, lo, hi, &positions, &mut stats)?,
-            )
-        };
-        Ok((response, stats))
-    }
-
-    /// Strawman / LVQ-without-BMT: one `(BF, fragment)` entry per block
-    /// (paper §IV-A, Fig. 6).
-    fn respond_per_block(
-        &self,
-        address: &Address,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-        stats: &mut ProverStats,
-    ) -> Result<PerBlockResponse, ProveError> {
-        let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
-        for height in lo..=hi {
-            let filter = self.chain.leaf_filter(height)?;
-            let fragment = if filter.check_positions(positions).is_clean() {
-                BlockFragment::Empty
-            } else {
-                self.resolve_block(height, address, stats)?
-            };
-            stats.fragments.record(&fragment);
-            entries.push(BlockEntry { filter, fragment });
-        }
-        Ok(PerBlockResponse { entries })
-    }
-
-    /// LVQ / LVQ-without-SMT: one merged BMT proof per (sub-)segment
-    /// plus block-level fragments for failed leaves (paper §V).
-    fn respond_segmented(
-        &self,
-        address: &Address,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-        stats: &mut ProverStats,
-    ) -> Result<SegmentedResponse, ProveError> {
-        let mut bundles = Vec::new();
-        for seg in segments(hi, self.config.segment_len()) {
-            if seg.hi < lo {
-                // Entirely below the queried range.
-                continue;
-            }
-            // The source's filter stash dies with this statement, before
-            // any block is resolved.
-            let proof = bmt::prove(&self.chain.segment_source(seg.lo, seg.hi)?, positions)?;
-            stats.bmt.merge(&proof.stats());
-
-            let mut fragments = Vec::new();
-            for height in failed_leaves(proof.root(), seg.lo, seg.hi) {
-                if height < lo {
-                    // Proven to match, but outside the queried range: no
-                    // block-level resolution is owed.
-                    continue;
-                }
-                let fragment = self.resolve_block(height, address, stats)?;
-                stats.fragments.record(&fragment);
-                fragments.push((height, fragment));
-            }
-            bundles.push(SegmentBundle { proof, fragments });
-        }
-        Ok(SegmentedResponse { segments: bundles })
+        Ok((QueryResponse::from_batch_of_one(batch, &positions), stats))
     }
 
     /// Answers one batched query for several addresses over the whole
@@ -218,7 +142,7 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         &self,
         addresses: &[Address],
     ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
-        self.respond_batch_over(addresses, 1, self.chain.tip_height())
+        self.respond_batch_over(addresses, None)
     }
 
     /// Answers a batched query restricted to blocks `lo..=hi` — the
@@ -237,23 +161,22 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
         lo: u64,
         hi: u64,
     ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
-        if lo == 0 || lo > hi || hi > self.chain.tip_height() {
-            return Err(ProveError::InvalidRange {
-                lo,
-                hi,
-                tip: self.chain.tip_height(),
-            });
-        }
-        self.respond_batch_over(addresses, lo, hi)
+        self.respond_batch_over(addresses, Some((lo, hi)))
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
+    /// The one proving path: the whole chain when `range` is `None`,
+    /// else `lo..=hi` after checking `1 ≤ lo ≤ hi ≤ tip`.
     fn respond_batch_over(
         &self,
         addresses: &[Address],
-        lo: u64,
-        hi: u64,
+        range: Option<(u64, u64)>,
     ) -> Result<(BatchQueryResponse, ProverStats), ProveError> {
+        // `lo = 1, hi = 0` encodes the empty chain.
+        let tip = self.chain.tip_height();
+        let (lo, hi) = range.unwrap_or((1, tip));
+        if range.is_some() && (lo == 0 || lo > hi || hi > tip) {
+            return Err(ProveError::InvalidRange { lo, hi, tip });
+        }
         if addresses.is_empty() {
             return Err(ProveError::EmptyBatch);
         }
@@ -263,95 +186,59 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
             .collect();
         let mut stats = ProverStats::default();
         let response = if self.config.scheme().is_per_block() {
-            BatchQueryResponse::PerBlock(self.respond_batch_per_block(
-                addresses,
-                lo,
-                hi,
-                &position_sets,
-                &mut stats,
-            )?)
+            // Strawman / LVQ without BMT (paper §IV-A, Fig. 6): each
+            // block's filter once, then one fragment per address.
+            let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
+            for height in lo..=hi {
+                let filter = self.chain.leaf_filter(height)?;
+                let mut fragments = Vec::with_capacity(addresses.len());
+                for (address, positions) in addresses.iter().zip(&position_sets) {
+                    let fragment = if filter.check_positions(positions).is_clean() {
+                        BlockFragment::Empty
+                    } else {
+                        self.resolve_block(height, address, &mut stats)?
+                    };
+                    stats.fragments.record(&fragment);
+                    fragments.push(fragment);
+                }
+                entries.push(BatchBlockEntry { filter, fragments });
+            }
+            BatchQueryResponse::PerBlock(BatchPerBlockResponse { entries })
         } else {
-            BatchQueryResponse::Segmented(self.respond_batch_segmented(
-                addresses,
-                lo,
-                hi,
-                &position_sets,
-                &mut stats,
-            )?)
+            // LVQ / LVQ without SMT (paper §V): one shared BMT proof per
+            // (sub-)segment intersecting `lo..=hi`, then per-address
+            // fragment sections for its matched leaves.
+            let mut bundles = Vec::new();
+            for seg in segments(hi, self.config.segment_len()) {
+                if seg.hi < lo {
+                    // Entirely below the queried range.
+                    continue;
+                }
+                // The source's filter stash dies with this statement,
+                // before any block is resolved.
+                let proof =
+                    bmt::prove_multi(&self.chain.segment_source(seg.lo, seg.hi)?, &position_sets)?;
+                stats.batch_bmt.merge(&proof.stats());
+                let mut failed = vec![Vec::new(); addresses.len()];
+                failed_leaves_per_set(proof.root(), seg.lo, seg.hi, &position_sets, &mut failed);
+                let mut sections = Vec::with_capacity(addresses.len());
+                for (address, heights) in addresses.iter().zip(failed) {
+                    let mut section = Vec::with_capacity(heights.len());
+                    // A boundary segment's matches below `lo` are
+                    // outside the query: no block-level resolution is
+                    // owed for them.
+                    for height in heights.into_iter().filter(|&h| h >= lo) {
+                        let fragment = self.resolve_block(height, address, &mut stats)?;
+                        stats.fragments.record(&fragment);
+                        section.push((height, fragment));
+                    }
+                    sections.push(section);
+                }
+                bundles.push(BatchSegmentBundle { proof, sections });
+            }
+            BatchQueryResponse::Segmented(BatchSegmentedResponse { segments: bundles })
         };
         Ok((response, stats))
-    }
-
-    /// Per-block schemes: each block's filter once, then one fragment
-    /// per address.
-    fn respond_batch_per_block(
-        &self,
-        addresses: &[Address],
-        lo: u64,
-        hi: u64,
-        position_sets: &[Vec<u64>],
-        stats: &mut ProverStats,
-    ) -> Result<BatchPerBlockResponse, ProveError> {
-        let mut entries = Vec::with_capacity(hi.saturating_sub(lo) as usize + 1);
-        for height in lo..=hi {
-            let filter = self.chain.leaf_filter(height)?;
-            let mut fragments = Vec::with_capacity(addresses.len());
-            for (address, positions) in addresses.iter().zip(position_sets) {
-                let fragment = if filter.check_positions(positions).is_clean() {
-                    BlockFragment::Empty
-                } else {
-                    self.resolve_block(height, address, stats)?
-                };
-                stats.fragments.record(&fragment);
-                fragments.push(fragment);
-            }
-            entries.push(BatchBlockEntry { filter, fragments });
-        }
-        Ok(BatchPerBlockResponse { entries })
-    }
-
-    /// BMT schemes: one shared multi-address proof per (sub-)segment,
-    /// then per-address fragment sections for its matched leaves.
-    ///
-    /// Only segments intersecting `lo..=hi` are included, and failed
-    /// leaves below `lo` (a boundary segment's prefix) are owed no
-    /// fragment — the batch analogue of [`Prover::respond_range`]'s
-    /// boundary rule.
-    fn respond_batch_segmented(
-        &self,
-        addresses: &[Address],
-        lo: u64,
-        hi: u64,
-        position_sets: &[Vec<u64>],
-        stats: &mut ProverStats,
-    ) -> Result<BatchSegmentedResponse, ProveError> {
-        let mut bundles = Vec::new();
-        for seg in segments(hi, self.config.segment_len()) {
-            if seg.hi < lo {
-                // Entirely below the queried range.
-                continue;
-            }
-            let proof =
-                bmt::prove_multi(&self.chain.segment_source(seg.lo, seg.hi)?, position_sets)?;
-            stats.batch_bmt.merge(&proof.stats());
-            let mut sections = Vec::with_capacity(addresses.len());
-            for (j, address) in addresses.iter().enumerate() {
-                let mut section = Vec::new();
-                for height in batch_failed_leaves(proof.root(), seg.lo, seg.hi, position_sets, j) {
-                    if height < lo {
-                        // Proven to match, but outside the queried
-                        // range: no block-level resolution is owed.
-                        continue;
-                    }
-                    let fragment = self.resolve_block(height, address, stats)?;
-                    stats.fragments.record(&fragment);
-                    section.push((height, fragment));
-                }
-                sections.push(section);
-            }
-            bundles.push(BatchSegmentBundle { proof, sections });
-        }
-        Ok(BatchSegmentedResponse { segments: bundles })
     }
 
     /// Consults a block body to resolve a failed filter check into the
@@ -413,53 +300,31 @@ impl<'a, S: BlockSource, T: TableSource> Prover<'a, S, T> {
     }
 }
 
-/// Collects the heights of leaf endpoints whose filters match address
-/// `j`'s positions, in ascending order — the per-address failed leaves
-/// of a shared batch proof.
-fn batch_failed_leaves(
+/// Appends, per position set, the heights of the leaf endpoints under
+/// `node` (spanning `lo..=hi`) whose filters match it, in ascending
+/// order: each address's failed leaves in a shared proof.
+fn failed_leaves_per_set(
     node: &BmtBatchNode,
     lo: u64,
     hi: u64,
     position_sets: &[Vec<u64>],
-    j: usize,
-) -> Vec<u64> {
-    fn walk(node: &BmtBatchNode, lo: u64, hi: u64, positions: &[u64], out: &mut Vec<u64>) {
-        match node {
-            BmtBatchNode::Leaf { filter } => {
+    out: &mut [Vec<u64>],
+) {
+    match node {
+        BmtBatchNode::Leaf { filter } => {
+            for (positions, heights) in position_sets.iter().zip(out.iter_mut()) {
                 if !filter.check_positions(positions).is_clean() {
-                    out.push(lo);
+                    heights.push(lo);
                 }
             }
-            BmtBatchNode::CleanNode { .. } => {}
-            BmtBatchNode::Branch { left, right } => {
-                let mid = lo + (hi - lo) / 2;
-                walk(left, lo, mid, positions, out);
-                walk(right, mid + 1, hi, positions, out);
-            }
+        }
+        BmtBatchNode::CleanNode { .. } => {}
+        BmtBatchNode::Branch { left, right } => {
+            let mid = lo + (hi - lo) / 2;
+            failed_leaves_per_set(left, lo, mid, position_sets, out);
+            failed_leaves_per_set(right, mid + 1, hi, position_sets, out);
         }
     }
-    let mut out = Vec::new();
-    walk(node, lo, hi, &position_sets[j], &mut out);
-    out
-}
-
-/// Collects the failed-leaf heights of a proof in ascending order by
-/// mirroring the span arithmetic of the descent.
-fn failed_leaves(node: &BmtProofNode, lo: u64, hi: u64) -> Vec<u64> {
-    fn walk(node: &BmtProofNode, lo: u64, hi: u64, out: &mut Vec<u64>) {
-        match node {
-            BmtProofNode::CleanLeaf { .. } | BmtProofNode::CleanNode { .. } => {}
-            BmtProofNode::FailedLeaf { .. } => out.push(lo),
-            BmtProofNode::Branch { left, right } => {
-                let mid = lo + (hi - lo) / 2;
-                walk(left, lo, mid, out);
-                walk(right, mid + 1, hi, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(node, lo, hi, &mut out);
-    out
 }
 
 #[cfg(test)]

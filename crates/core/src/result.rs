@@ -1,9 +1,10 @@
 //! Query response types and exact size accounting.
 
 use lvq_bloom::BloomFilter;
-use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
+use lvq_codec::{prealloc_elements, Decodable, DecodeError, Encodable, Reader};
 use lvq_merkle::BmtProof;
 
+use crate::batch::BatchQueryResponse;
 use crate::fragment::BlockFragment;
 
 /// One block's worth of a per-block response: the transmitted Bloom
@@ -75,36 +76,60 @@ pub struct SegmentBundle {
 impl Encodable for SegmentBundle {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.proof.encode_into(out);
-        lvq_codec::write_compact_size(out, self.fragments.len() as u64);
-        for (height, fragment) in &self.fragments {
-            lvq_codec::write_compact_size(out, *height);
-            fragment.encode_into(out);
-        }
+        encode_section(&self.fragments, out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.proof.encoded_len()
-            + lvq_codec::compact_size_len(self.fragments.len() as u64)
-            + self
-                .fragments
-                .iter()
-                .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
-                .sum::<usize>()
+        self.proof.encoded_len() + section_len(&self.fragments)
     }
 }
 
 impl Decodable for SegmentBundle {
     fn decode_from(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let proof = BmtProof::decode_from(reader)?;
-        let count = reader.read_len()?;
-        let mut fragments = Vec::with_capacity(count.min(reader.remaining()));
-        for _ in 0..count {
-            let height = lvq_codec::read_compact_size(reader)?;
-            let fragment = BlockFragment::decode_from(reader)?;
-            fragments.push((height, fragment));
-        }
-        Ok(SegmentBundle { proof, fragments })
+        Ok(SegmentBundle {
+            proof: BmtProof::decode_from(reader)?,
+            fragments: decode_section(reader)?,
+        })
     }
+}
+
+/// The one element of a batch-of-one collection.
+pub(crate) fn only<T>(mut one: Vec<T>) -> T {
+    one.pop().expect("a batch of one")
+}
+
+/// Writes one address's fragment section: a count, then each
+/// `(height, fragment)` pair.
+pub(crate) fn encode_section(section: &[(u64, BlockFragment)], out: &mut Vec<u8>) {
+    lvq_codec::write_compact_size(out, section.len() as u64);
+    for (height, fragment) in section {
+        lvq_codec::write_compact_size(out, *height);
+        fragment.encode_into(out);
+    }
+}
+
+/// The encoded length of [`encode_section`]'s output.
+pub(crate) fn section_len(section: &[(u64, BlockFragment)]) -> usize {
+    lvq_codec::compact_size_len(section.len() as u64)
+        + section
+            .iter()
+            .map(|(h, f)| lvq_codec::compact_size_len(*h) + f.encoded_len())
+            .sum::<usize>()
+}
+
+/// Reads one fragment section. The count is the peer's claim, so the
+/// reservation is capped by the bytes left to read.
+pub(crate) fn decode_section(
+    reader: &mut Reader<'_>,
+) -> Result<Vec<(u64, BlockFragment)>, DecodeError> {
+    let count = reader.read_len()?;
+    let size = std::mem::size_of::<(u64, BlockFragment)>();
+    let mut section = Vec::with_capacity(prealloc_elements(count, reader.remaining(), size));
+    for _ in 0..count {
+        let height = lvq_codec::read_compact_size(reader)?;
+        section.push((height, BlockFragment::decode_from(reader)?));
+    }
+    Ok(section)
 }
 
 /// Response of the BMT schemes (LVQ without SMT, full LVQ): one bundle
@@ -153,6 +178,35 @@ impl QueryResponse {
     /// Category-by-category size breakdown.
     pub fn size_breakdown(&self) -> SizeBreakdown {
         SizeBreakdown::of(self)
+    }
+
+    /// Re-tags the response to a batch of one into the single-address
+    /// encoding, moving every filter and fragment: per-block entries
+    /// carry their one fragment, and each segment's shared proof becomes
+    /// a [`BmtProof`] whose leaf tags `positions` decide.
+    pub(crate) fn from_batch_of_one(batch: BatchQueryResponse, positions: &[u64]) -> Self {
+        match batch {
+            BatchQueryResponse::PerBlock(r) => QueryResponse::PerBlock(PerBlockResponse {
+                entries: r
+                    .entries
+                    .into_iter()
+                    .map(|entry| BlockEntry {
+                        filter: entry.filter,
+                        fragment: only(entry.fragments),
+                    })
+                    .collect(),
+            }),
+            BatchQueryResponse::Segmented(r) => QueryResponse::Segmented(SegmentedResponse {
+                segments: r
+                    .segments
+                    .into_iter()
+                    .map(|bundle| SegmentBundle {
+                        proof: BmtProof::from_batch_of_one(bundle.proof, positions),
+                        fragments: only(bundle.sections),
+                    })
+                    .collect(),
+            }),
+        }
     }
 }
 
@@ -232,11 +286,10 @@ impl SizeBreakdown {
             }
             QueryResponse::Segmented(r) => {
                 for bundle in &r.segments {
-                    let stats = bundle.proof.stats();
-                    b.bloom_filters += stats.filter_bytes;
-                    b.bmt_overhead +=
-                        bundle.proof.encoded_len() as u64 - stats.filter_bytes - stats.hash_bytes;
-                    b.bmt_overhead += stats.hash_bytes;
+                    // Everything in a proof but its filters: hashes and tags.
+                    let filter_bytes = bundle.proof.stats().filter_bytes;
+                    b.bloom_filters += filter_bytes;
+                    b.bmt_overhead += bundle.proof.encoded_len() as u64 - filter_bytes;
                     for (_, fragment) in &bundle.fragments {
                         b.add_fragment(fragment);
                     }

@@ -1,6 +1,6 @@
 //! Prover-side statistics (paper Figs. 14–16).
 
-use lvq_merkle::{BmtBatchProofStats, BmtProofStats};
+use lvq_merkle::BmtProofStats;
 
 use crate::fragment::BlockFragment;
 
@@ -40,13 +40,14 @@ impl FragmentCounts {
 /// Everything the prover observed while answering one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProverStats {
-    /// Merged BMT proof statistics over all segments (zero for per-block
-    /// schemes). `bmt.endpoint_count()` is the quantity of paper
-    /// Figs. 15/16.
+    /// BMT proof statistics over all segments of a
+    /// [`crate::Prover::respond`] or `respond_range` query (zero for
+    /// per-block schemes). `bmt.endpoint_count()` is the quantity of
+    /// paper Figs. 15/16.
     pub bmt: BmtProofStats,
-    /// Shared multi-address BMT proof statistics (zero outside batched
-    /// queries).
-    pub batch_bmt: BmtBatchProofStats,
+    /// The same statistics for a `respond_batch` or `respond_batch_range`
+    /// query, whose shared proofs serve every address at once.
+    pub batch_bmt: BmtProofStats,
     /// Fragment census.
     pub fragments: FragmentCounts,
     /// Blocks whose bodies the prover had to consult.

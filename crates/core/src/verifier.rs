@@ -1,14 +1,19 @@
 //! The light-node side: response verification (paper §V, §VI).
 
 use std::collections::BTreeSet;
+use std::slice::from_ref;
 
-use lvq_bloom::BloomFilter;
-use lvq_chain::{balance_of, Address, BalanceBreakdown, BlockHeader, Transaction};
+use lvq_bloom::{BloomFilter, BloomParams};
+use lvq_chain::{
+    balance_of, Address, BalanceBreakdown, BlockHeader, HeaderCommitments, Transaction,
+};
+use lvq_crypto::Hash256;
+use lvq_merkle::{BmtBatchProof, BmtCoverage, BmtError, BmtProof};
 
-use crate::batch::{BatchQueryResponse, BatchSegmentBundle};
+use crate::batch::BatchQueryResponse;
 use crate::error::QueryError;
 use crate::fragment::BlockFragment;
-use crate::result::{QueryResponse, SegmentBundle};
+use crate::result::{only, QueryResponse};
 use crate::scheme::{Scheme, SchemeConfig};
 use crate::segment::{segments, Segment};
 
@@ -151,7 +156,8 @@ impl LightClient {
         before - height
     }
 
-    /// Verifies a full-node response for `address`.
+    /// Verifies a full-node response for `address`: the batch of one,
+    /// read in place through the batch verifier.
     ///
     /// On success the returned history is *correct* (every transaction
     /// is on-chain at the stated height) and, except for the strawman's
@@ -168,7 +174,9 @@ impl LightClient {
         address: &Address,
         response: &QueryResponse,
     ) -> Result<VerifiedHistory, QueryError> {
-        self.verify_over(address, response, 1, self.tip_height())
+        let histories =
+            self.verify_batch_over(from_ref(address), Sections::of_one(response), None)?;
+        Ok(only(histories))
     }
 
     /// Verifies a response restricted to blocks `lo..=hi` (the range
@@ -189,21 +197,17 @@ impl LightClient {
         hi: u64,
         response: &QueryResponse,
     ) -> Result<VerifiedHistory, QueryError> {
-        if lo == 0 || lo > hi || hi > self.tip_height() {
-            return Err(QueryError::InvalidRange {
-                lo,
-                hi,
-                tip: self.tip_height(),
-            });
-        }
-        self.verify_over(address, response, lo, hi)
+        let range = Some((lo, hi));
+        let histories =
+            self.verify_batch_over(from_ref(address), Sections::of_one(response), range)?;
+        Ok(only(histories))
     }
 
     /// Verifies a batched multi-address response, returning one
     /// [`VerifiedHistory`] per address in batch order.
     ///
-    /// Each per-address verdict is exactly as strong as a dedicated
-    /// [`LightClient::verify`]: the shared BMT proof is checked against
+    /// Each per-address verdict is exactly as strong as
+    /// [`LightClient::verify`]'s: the shared BMT proof is checked against
     /// every address's bit positions individually (a node may only be
     /// treated as clean for an address whose positions it is actually
     /// clean for), and each address's fragment section must account for
@@ -220,7 +224,7 @@ impl LightClient {
         addresses: &[Address],
         response: &BatchQueryResponse,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
-        self.verify_batch_over(addresses, response, 1, self.tip_height())
+        self.verify_batch_over(addresses, Sections::of_batch(response), None)
     }
 
     /// Verifies a batched response restricted to blocks `lo..=hi` — the
@@ -239,24 +243,23 @@ impl LightClient {
         hi: u64,
         response: &BatchQueryResponse,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
-        if lo == 0 || lo > hi || hi > self.tip_height() {
-            return Err(QueryError::InvalidRange {
-                lo,
-                hi,
-                tip: self.tip_height(),
-            });
-        }
-        self.verify_batch_over(addresses, response, lo, hi)
+        self.verify_batch_over(addresses, Sections::of_batch(response), Some((lo, hi)))
     }
 
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
+    /// The one verification path: the whole chain when `range` is
+    /// `None`, else `lo..=hi` after checking `1 ≤ lo ≤ hi ≤ tip`.
     fn verify_batch_over(
         &self,
         addresses: &[Address],
-        response: &BatchQueryResponse,
-        lo: u64,
-        hi: u64,
+        response: Sections<'_>,
+        range: Option<(u64, u64)>,
     ) -> Result<Vec<VerifiedHistory>, QueryError> {
+        // `lo = 1, hi = 0` encodes the empty chain.
+        let tip = self.tip_height();
+        let (lo, hi) = range.unwrap_or((1, tip));
+        if range.is_some() && (lo == 0 || lo > hi || hi > tip) {
+            return Err(QueryError::InvalidRange { lo, hi, tip });
+        }
         if addresses.is_empty() {
             return Err(QueryError::EmptyBatch);
         }
@@ -265,299 +268,118 @@ impl LightClient {
             .map(|a| BloomFilter::bit_positions(self.config.bloom(), a.as_bytes()))
             .collect();
         let n = addresses.len();
-        let mut collected: Vec<Vec<(u64, Transaction)>> = vec![Vec::new(); n];
-        let mut correctness_only = vec![false; n];
+        let empty = VerifiedHistory {
+            transactions: Vec::new(),
+            balance: BalanceBreakdown::default(),
+            completeness: Completeness::Complete,
+        };
+        let mut histories = vec![empty; n];
+        // Every fragment owed to address `j` at `height` passes here.
+        let mut accept = |j: usize, height: u64, fragment: &BlockFragment| {
+            let txs = self.verify_fragment(height, &addresses[j], fragment)?;
+            if matches!(fragment, BlockFragment::MerkleBranches(_)) {
+                histories[j].completeness = Completeness::CorrectnessOnly;
+            }
+            histories[j]
+                .transactions
+                .extend(txs.into_iter().map(|t| (height, t)));
+            Ok::<(), QueryError>(())
+        };
+        let section_count = |got: usize| {
+            if got == n {
+                Ok(())
+            } else {
+                Err(QueryError::SectionCountMismatch {
+                    got: got as u64,
+                    expected: n as u64,
+                })
+            }
+        };
 
         match (self.config.scheme().is_per_block(), response) {
-            (true, BatchQueryResponse::PerBlock(r)) => {
+            (true, Sections::PerBlock(entries)) => {
                 let expected = hi.saturating_sub(lo.saturating_sub(1));
-                if r.entries.len() as u64 != expected {
+                if entries.len() as u64 != expected {
                     return Err(QueryError::WrongEntryCount {
-                        got: r.entries.len() as u64,
+                        got: entries.len() as u64,
                         expected,
                     });
                 }
-                for (i, entry) in r.entries.iter().enumerate() {
+                for (i, (filter, fragments)) in entries.into_iter().enumerate() {
                     let height = lo + i as u64;
-                    if entry.fragments.len() != n {
-                        return Err(QueryError::SectionCountMismatch {
-                            got: entry.fragments.len() as u64,
-                            expected: n as u64,
-                        });
-                    }
-                    let header = &self.headers[(height - 1) as usize];
-                    let committed =
-                        header
-                            .commitments
-                            .bf_hash
-                            .ok_or(QueryError::MissingCommitment {
-                                height,
-                                what: "bloom filter hash",
-                            })?;
-                    if entry.filter.params() != self.config.bloom() {
+                    section_count(fragments.len())?;
+                    let committed = self.commitment(height, "bloom filter hash", |c| c.bf_hash)?;
+                    if filter.params() != self.config.bloom() {
                         return Err(QueryError::FilterParamsMismatch { height });
                     }
-                    if entry.filter.content_hash() != committed {
+                    if filter.content_hash() != committed {
                         return Err(QueryError::FilterHashMismatch { height });
                     }
-                    for (j, (address, positions)) in
-                        addresses.iter().zip(&position_sets).enumerate()
-                    {
-                        let fragment = &entry.fragments[j];
-                        if entry.filter.check_positions(positions).is_clean() {
+                    for (j, fragment) in fragments.iter().enumerate() {
+                        if filter.check_positions(&position_sets[j]).is_clean() {
                             if *fragment != BlockFragment::Empty {
                                 return Err(QueryError::UnexpectedFragment { height });
                             }
                         } else {
-                            let txs = self.verify_fragment(height, address, fragment)?;
-                            if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                                correctness_only[j] = true;
-                            }
-                            collected[j].extend(txs.into_iter().map(|t| (height, t)));
+                            accept(j, height, fragment)?;
                         }
                     }
                 }
             }
-            (false, BatchQueryResponse::Segmented(r)) => {
+            (false, Sections::Segmented(bundles)) => {
                 let segs: Vec<Segment> = segments(hi, self.config.segment_len())
                     .into_iter()
                     .filter(|seg| seg.hi >= lo)
                     .collect();
-                if r.segments.len() != segs.len() {
+                if bundles.len() != segs.len() {
                     return Err(QueryError::SegmentMismatch);
                 }
-                for (seg, bundle) in segs.iter().zip(&r.segments) {
-                    let (sections, flags) =
-                        self.verify_batch_segment(addresses, &position_sets, seg, bundle, lo)?;
-                    for (j, (txs, flag)) in sections.into_iter().zip(flags).enumerate() {
-                        collected[j].extend(txs);
-                        correctness_only[j] |= flag;
+                for (seg, (proof, sections)) in segs.iter().zip(bundles) {
+                    section_count(sections.len())?;
+                    let root = self.commitment(seg.hi, "bmt root", |c| c.bmt_root)?;
+                    let coverages = proof
+                        .verify(seg, &root, self.config.bloom(), &position_sets)
+                        .map_err(|source| QueryError::Bmt {
+                            segment_hi: seg.hi,
+                            source,
+                        })?;
+                    for (j, (coverage, section)) in coverages.iter().zip(sections).enumerate() {
+                        // The section must account for exactly the
+                        // in-range leaves the proof shows matching this
+                        // address — a prover cannot silently drop a block
+                        // whose filter matched. (Failed leaves below `lo`
+                        // belong to a boundary segment's prefix and are
+                        // outside the query.)
+                        let supplied = section.iter().map(|(h, _)| *h);
+                        let owed = coverage.failed_leaves.iter().copied().filter(|&h| h >= lo);
+                        if !supplied.eq(owed) {
+                            return Err(QueryError::FragmentSetMismatch);
+                        }
+                        for (height, fragment) in section {
+                            accept(j, *height, fragment)?;
+                        }
                     }
                 }
             }
             _ => return Err(QueryError::WrongResponseKind),
         }
 
-        Ok(collected
-            .into_iter()
-            .zip(addresses)
-            .zip(correctness_only)
-            .map(|((mut txs, address), partial)| {
-                txs.sort_by_key(|(h, _)| *h);
-                let balance = balance_of(address, txs.iter().map(|(_, t)| t));
-                VerifiedHistory {
-                    transactions: txs,
-                    balance,
-                    completeness: if partial {
-                        Completeness::CorrectnessOnly
-                    } else {
-                        Completeness::Complete
-                    },
-                }
-            })
-            .collect())
+        for (history, address) in histories.iter_mut().zip(addresses) {
+            history.transactions.sort_by_key(|(h, _)| *h);
+            history.balance = balance_of(address, history.transactions.iter().map(|(_, t)| t));
+        }
+        Ok(histories)
     }
 
-    /// Verifies one segment of a single-address segmented response.
-    ///
-    /// Returns the `(height, transaction)` list the segment proves plus
-    /// a correctness-only flag.
-    fn verify_segment(
+    /// The commitment `get` picks from the header at `height`.
+    fn commitment(
         &self,
-        address: &Address,
-        positions: &[u64],
-        seg: &Segment,
-        bundle: &SegmentBundle,
-        lo: u64,
-    ) -> Result<(Vec<(u64, Transaction)>, bool), QueryError> {
-        let header = &self.headers[(seg.hi - 1) as usize];
-        let root = header
-            .commitments
-            .bmt_root
-            .ok_or(QueryError::MissingCommitment {
-                height: seg.hi,
-                what: "bmt root",
-            })?;
-        let coverage = bundle
-            .proof
-            .verify(seg.lo, seg.len(), &root, self.config.bloom(), positions)
-            .map_err(|source| QueryError::Bmt {
-                segment_hi: seg.hi,
-                source,
-            })?;
-        // The failed leaves inside the queried range and the supplied
-        // fragments must agree exactly — a prover cannot silently drop
-        // a block whose filter matched. (Failed leaves below `lo`
-        // belong to a boundary segment's prefix and are outside the
-        // query.)
-        let supplied: Vec<u64> = bundle.fragments.iter().map(|(h, _)| *h).collect();
-        let owed: Vec<u64> = coverage
-            .failed_leaves
-            .iter()
-            .copied()
-            .filter(|&h| h >= lo)
-            .collect();
-        if supplied != owed {
-            return Err(QueryError::FragmentSetMismatch);
-        }
-        let mut collected = Vec::new();
-        let mut correctness_only = false;
-        for (height, fragment) in &bundle.fragments {
-            let txs = self.verify_fragment(*height, address, fragment)?;
-            if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                correctness_only = true;
-            }
-            collected.extend(txs.into_iter().map(|t| (*height, t)));
-        }
-        Ok((collected, correctness_only))
-    }
-
-    /// Verifies one segment of a batched segmented response: the shared
-    /// proof against every address's positions, then each address's
-    /// fragment section against exactly its in-range matched leaves.
-    ///
-    /// Returns per-address `(height, transaction)` lists plus a
-    /// per-address correctness-only flag.
-    #[allow(clippy::type_complexity)]
-    fn verify_batch_segment(
-        &self,
-        addresses: &[Address],
-        position_sets: &[Vec<u64>],
-        seg: &Segment,
-        bundle: &BatchSegmentBundle,
-        lo: u64,
-    ) -> Result<(Vec<Vec<(u64, Transaction)>>, Vec<bool>), QueryError> {
-        let n = addresses.len();
-        if bundle.sections.len() != n {
-            return Err(QueryError::SectionCountMismatch {
-                got: bundle.sections.len() as u64,
-                expected: n as u64,
-            });
-        }
-        let header = &self.headers[(seg.hi - 1) as usize];
-        let root = header
-            .commitments
-            .bmt_root
-            .ok_or(QueryError::MissingCommitment {
-                height: seg.hi,
-                what: "bmt root",
-            })?;
-        let coverages = bundle
-            .proof
-            .verify(seg.lo, seg.len(), &root, self.config.bloom(), position_sets)
-            .map_err(|source| QueryError::Bmt {
-                segment_hi: seg.hi,
-                source,
-            })?;
-        let mut collected = vec![Vec::new(); n];
-        let mut correctness_only = vec![false; n];
-        for (j, (address, coverage)) in addresses.iter().zip(&coverages).enumerate() {
-            // Per address: the supplied section must account for
-            // exactly the in-range leaves the shared proof shows
-            // matching this address's positions. (Failed leaves below
-            // `lo` belong to a boundary segment's prefix and are
-            // outside the query.)
-            let section = &bundle.sections[j];
-            let supplied: Vec<u64> = section.iter().map(|(h, _)| *h).collect();
-            let owed: Vec<u64> = coverage
-                .failed_leaves
-                .iter()
-                .copied()
-                .filter(|&h| h >= lo)
-                .collect();
-            if supplied != owed {
-                return Err(QueryError::FragmentSetMismatch);
-            }
-            for (height, fragment) in section {
-                let txs = self.verify_fragment(*height, address, fragment)?;
-                if matches!(fragment, BlockFragment::MerkleBranches(_)) {
-                    correctness_only[j] = true;
-                }
-                collected[j].extend(txs.into_iter().map(|t| (*height, t)));
-            }
-        }
-        Ok((collected, correctness_only))
-    }
-
-    /// Shared implementation; `lo = 1, hi = 0` encodes the empty chain.
-    fn verify_over(
-        &self,
-        address: &Address,
-        response: &QueryResponse,
-        lo: u64,
-        hi: u64,
-    ) -> Result<VerifiedHistory, QueryError> {
-        let positions = BloomFilter::bit_positions(self.config.bloom(), address.as_bytes());
-        let mut collected: Vec<(u64, Transaction)> = Vec::new();
-        let mut correctness_only = false;
-
-        match (self.config.scheme().is_per_block(), response) {
-            (true, QueryResponse::PerBlock(r)) => {
-                let expected = hi.saturating_sub(lo.saturating_sub(1));
-                if r.entries.len() as u64 != expected {
-                    return Err(QueryError::WrongEntryCount {
-                        got: r.entries.len() as u64,
-                        expected,
-                    });
-                }
-                for (i, entry) in r.entries.iter().enumerate() {
-                    let height = lo + i as u64;
-                    let header = &self.headers[(height - 1) as usize];
-                    let committed =
-                        header
-                            .commitments
-                            .bf_hash
-                            .ok_or(QueryError::MissingCommitment {
-                                height,
-                                what: "bloom filter hash",
-                            })?;
-                    if entry.filter.params() != self.config.bloom() {
-                        return Err(QueryError::FilterParamsMismatch { height });
-                    }
-                    if entry.filter.content_hash() != committed {
-                        return Err(QueryError::FilterHashMismatch { height });
-                    }
-                    if entry.filter.check_positions(&positions).is_clean() {
-                        if entry.fragment != BlockFragment::Empty {
-                            return Err(QueryError::UnexpectedFragment { height });
-                        }
-                    } else {
-                        let txs = self.verify_fragment(height, address, &entry.fragment)?;
-                        if matches!(entry.fragment, BlockFragment::MerkleBranches(_)) {
-                            correctness_only = true;
-                        }
-                        collected.extend(txs.into_iter().map(|t| (height, t)));
-                    }
-                }
-            }
-            (false, QueryResponse::Segmented(r)) => {
-                let segs: Vec<Segment> = segments(hi, self.config.segment_len())
-                    .into_iter()
-                    .filter(|seg| seg.hi >= lo)
-                    .collect();
-                if r.segments.len() != segs.len() {
-                    return Err(QueryError::SegmentMismatch);
-                }
-                for (seg, bundle) in segs.iter().zip(&r.segments) {
-                    let (txs, flag) = self.verify_segment(address, &positions, seg, bundle, lo)?;
-                    collected.extend(txs);
-                    correctness_only |= flag;
-                }
-            }
-            _ => return Err(QueryError::WrongResponseKind),
-        }
-
-        collected.sort_by_key(|(h, _)| *h);
-        let balance = balance_of(address, collected.iter().map(|(_, t)| t));
-        Ok(VerifiedHistory {
-            transactions: collected,
-            balance,
-            completeness: if correctness_only {
-                Completeness::CorrectnessOnly
-            } else {
-                Completeness::Complete
-            },
-        })
+        height: u64,
+        what: &'static str,
+        get: impl Fn(&HeaderCommitments) -> Option<Hash256>,
+    ) -> Result<Hash256, QueryError> {
+        get(&self.headers[(height - 1) as usize].commitments)
+            .ok_or(QueryError::MissingCommitment { height, what })
     }
 
     /// Verifies one block-level fragment, returning the transactions it
@@ -586,14 +408,7 @@ impl LightClient {
                 if !scheme.has_smt() {
                     return Err(QueryError::UnexpectedFragment { height });
                 }
-                let commitment =
-                    header
-                        .commitments
-                        .smt_commitment
-                        .ok_or(QueryError::MissingCommitment {
-                            height,
-                            what: "smt",
-                        })?;
+                let commitment = self.commitment(height, "smt", |c| c.smt_commitment)?;
                 let count = proof
                     .smt
                     .verify(address.as_bytes(), &commitment)
@@ -620,14 +435,7 @@ impl LightClient {
                 if !scheme.has_smt() {
                     return Err(QueryError::UnexpectedFragment { height });
                 }
-                let commitment =
-                    header
-                        .commitments
-                        .smt_commitment
-                        .ok_or(QueryError::MissingCommitment {
-                            height,
-                            what: "smt",
-                        })?;
+                let commitment = self.commitment(height, "smt", |c| c.smt_commitment)?;
                 let value = proof
                     .verify(address.as_bytes(), &commitment)
                     .map_err(|source| QueryError::Smt { height, source })?;
@@ -693,6 +501,79 @@ impl LightClient {
             }
         }
         Ok(())
+    }
+}
+
+/// A response as the verifier reads it, borrowed in place: per block or
+/// per segment, one fragment or fragment section per address. A
+/// single-address response is a batch of one.
+enum Sections<'a> {
+    PerBlock(Vec<(&'a BloomFilter, &'a [BlockFragment])>),
+    Segmented(Vec<(SegmentProof<'a>, &'a [Section])>),
+}
+
+/// One address's `(height, fragment)` pairs for one segment.
+type Section = Vec<(u64, BlockFragment)>;
+
+impl<'a> Sections<'a> {
+    fn of_one(response: &'a QueryResponse) -> Self {
+        match response {
+            QueryResponse::PerBlock(r) => Sections::PerBlock(
+                r.entries
+                    .iter()
+                    .map(|e| (&e.filter, from_ref(&e.fragment)))
+                    .collect(),
+            ),
+            QueryResponse::Segmented(r) => Sections::Segmented(
+                r.segments
+                    .iter()
+                    .map(|b| (SegmentProof::One(&b.proof), from_ref(&b.fragments)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn of_batch(response: &'a BatchQueryResponse) -> Self {
+        match response {
+            BatchQueryResponse::PerBlock(r) => Sections::PerBlock(
+                r.entries
+                    .iter()
+                    .map(|e| (&e.filter, e.fragments.as_slice()))
+                    .collect(),
+            ),
+            BatchQueryResponse::Segmented(r) => Sections::Segmented(
+                r.segments
+                    .iter()
+                    .map(|b| (SegmentProof::Shared(&b.proof), b.sections.as_slice()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// A segment's BMT proof in either wire encoding; both verify through
+/// the one BMT verifier.
+enum SegmentProof<'a> {
+    One(&'a BmtProof),
+    Shared(&'a BmtBatchProof),
+}
+
+impl SegmentProof<'_> {
+    fn verify(
+        &self,
+        seg: &Segment,
+        root: &Hash256,
+        params: BloomParams,
+        position_sets: &[Vec<u64>],
+    ) -> Result<Vec<BmtCoverage>, BmtError> {
+        match self {
+            SegmentProof::One(proof) => proof
+                .verify(seg.lo, seg.len(), root, params, &position_sets[0])
+                .map(|coverage| vec![coverage]),
+            SegmentProof::Shared(proof) => {
+                proof.verify(seg.lo, seg.len(), root, params, position_sets)
+            }
+        }
     }
 }
 

@@ -1,34 +1,31 @@
-//! Shared BMT proofs for multi-address batches.
+//! The BMT descent, and the shared proof it produces for a batch of
+//! addresses.
 //!
 //! A batched query asks about several addresses at once. Instead of one
 //! descent (and one pruned subtree on the wire) per address, the prover
 //! performs a single descent serving *all* the addresses' bit-position
 //! sets: a node is an endpoint only when it is clean for **every**
-//! queried set, and is expanded as soon as **any** set matches it.
+//! queried set, and is expanded as soon as **any** set matches it. The
+//! paper's single-address query is the batch of one; its proof is this
+//! one re-tagged ([`super::BmtProof::from_batch_of_one`]).
 //!
 //! Soundness forces that asymmetry. "Clean" means at least one checked
 //! bit is unset, and the unset bit that clears the *union* of several
 //! position sets may belong to a different address — so a node clean for
 //! the union may still match an individual address. Expanding on any
 //! match (and checking every set at every endpoint) keeps each
-//! per-address verdict exactly as strong as a dedicated single-address
-//! proof.
+//! per-address verdict exactly as strong as the proof of a batch of one.
 //!
 //! The shared tree is smaller than the sum of the per-address trees
 //! whenever the descents overlap — which they always do near the root,
 //! where filters are densest.
 
-use std::borrow::Cow;
-
 use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
 
-use super::{internal_hash, is_power_of_two, leaf_hash, BmtCoverage, BmtError, BmtSource};
-
-/// Maximum tree depth accepted when decoding untrusted proofs (matches
-/// [`super::BmtProofNode`]).
-const MAX_DEPTH: u32 = 40;
+use super::proof::{verify_tree, NodeView, ProofNode, MAX_DEPTH};
+use super::{is_power_of_two, BmtCoverage, BmtError, BmtProofStats, BmtSource};
 
 /// One node of a shared multi-address BMT proof.
 ///
@@ -69,49 +66,24 @@ pub enum BmtBatchNode {
 /// A shared multi-address proof over one BMT (one segment in LVQ).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BmtBatchProof {
-    root: BmtBatchNode,
+    pub(super) root: BmtBatchNode,
 }
 
-/// Size and shape statistics of a shared batch proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BmtBatchProofStats {
-    /// Leaf endpoints (clean or matched is per-address).
-    pub leaf_endpoints: u64,
-    /// Internal endpoints clean for every queried set.
-    pub clean_nodes: u64,
-    /// Expanded internal nodes.
-    pub branch_nodes: u64,
-    /// Bytes of Bloom filter material in the encoding.
-    pub filter_bytes: u64,
-    /// Bytes of child hashes in the encoding.
-    pub hash_bytes: u64,
-}
-
-impl BmtBatchProofStats {
-    /// Total endpoint nodes (the analogue of
-    /// [`super::BmtProofStats::endpoint_count`]).
-    pub fn endpoint_count(&self) -> u64 {
-        self.leaf_endpoints + self.clean_nodes
-    }
-
-    /// Accumulates another proof's statistics (for multi-segment
-    /// batches).
-    pub fn merge(&mut self, other: &BmtBatchProofStats) {
-        self.leaf_endpoints += other.leaf_endpoints;
-        self.clean_nodes += other.clean_nodes;
-        self.branch_nodes += other.branch_nodes;
-        self.filter_bytes += other.filter_bytes;
-        self.hash_bytes += other.hash_bytes;
+impl ProofNode for BmtBatchNode {
+    fn view(&self) -> NodeView<'_, Self> {
+        match self {
+            BmtBatchNode::Leaf { filter } => NodeView::Leaf(filter, None),
+            BmtBatchNode::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            } => NodeView::CleanNode(filter, left_hash, right_hash),
+            BmtBatchNode::Branch { left, right } => NodeView::Branch(left, right),
+        }
     }
 }
 
 impl BmtBatchProof {
-    /// Wraps a hand-built proof tree (tests and adversarial
-    /// simulations).
-    pub fn from_root(root: BmtBatchNode) -> Self {
-        BmtBatchProof { root }
-    }
-
     /// The proof's root node.
     pub fn root(&self) -> &BmtBatchNode {
         &self.root
@@ -123,8 +95,7 @@ impl BmtBatchProof {
     /// Arguments mirror [`super::BmtProof::verify`], with `position_sets`
     /// holding one bit-position set per queried address. On success,
     /// returns one [`BmtCoverage`] per set, in order — each exactly as
-    /// strong as a dedicated single-address proof would have
-    /// established.
+    /// strong as the proof of that address alone would have established.
     ///
     /// # Errors
     ///
@@ -139,124 +110,25 @@ impl BmtBatchProof {
         params: BloomParams,
         position_sets: &[Vec<u64>],
     ) -> Result<Vec<BmtCoverage>, BmtError> {
-        if !is_power_of_two(leaf_count) {
-            return Err(BmtError::LeafCountNotPowerOfTwo { count: leaf_count });
-        }
-        let mut coverages = vec![BmtCoverage::default(); position_sets.len()];
-        let (hash, _filter) = Self::verify_node(
+        verify_tree(
             &self.root,
             first_leaf,
-            first_leaf + leaf_count - 1,
+            leaf_count,
+            expected_root,
             params,
             position_sets,
-            &mut coverages,
-        )?;
-        if hash != *expected_root {
-            return Err(BmtError::RootMismatch);
-        }
-        Ok(coverages)
-    }
-
-    fn verify_node<'a>(
-        node: &'a BmtBatchNode,
-        lo: u64,
-        hi: u64,
-        params: BloomParams,
-        position_sets: &[Vec<u64>],
-        coverages: &mut [BmtCoverage],
-    ) -> Result<(Hash256, Cow<'a, BloomFilter>), BmtError> {
-        match node {
-            BmtBatchNode::Leaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "batch leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
-                    if filter.check_positions(positions).is_clean() {
-                        coverage.clean_ranges.push((lo, hi));
-                    } else {
-                        coverage.failed_leaves.push(lo);
-                    }
-                }
-                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
-            }
-            BmtBatchNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "internal clean node at leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
-                    // Every set must be individually clean; union
-                    // cleanliness is NOT enough (see module docs).
-                    if !filter.check_positions(positions).is_clean() {
-                        return Err(BmtError::NotClean);
-                    }
-                    coverage.clean_ranges.push((lo, hi));
-                }
-                Ok((
-                    internal_hash(left_hash, right_hash, filter),
-                    Cow::Borrowed(filter),
-                ))
-            }
-            BmtBatchNode::Branch { left, right } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "branch node at leaf level",
-                    });
-                }
-                let mid = lo + (hi - lo) / 2;
-                let (lh, lf) = Self::verify_node(left, lo, mid, params, position_sets, coverages)?;
-                let (rh, rf) =
-                    Self::verify_node(right, mid + 1, hi, params, position_sets, coverages)?;
-                let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), Cow::Owned(filter)))
-            }
-        }
-    }
-
-    fn check_filter(filter: &BloomFilter, params: BloomParams) -> Result<(), BmtError> {
-        if filter.params() != params {
-            return Err(BmtError::ParamsMismatch);
-        }
-        Ok(())
+        )
     }
 
     /// Computes the proof's size and shape statistics.
-    pub fn stats(&self) -> BmtBatchProofStats {
-        fn walk(node: &BmtBatchNode, stats: &mut BmtBatchProofStats) {
-            match node {
-                BmtBatchNode::Leaf { filter } => {
-                    stats.leaf_endpoints += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtBatchNode::CleanNode { filter, .. } => {
-                    stats.clean_nodes += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                    stats.hash_bytes += 64;
-                }
-                BmtBatchNode::Branch { left, right } => {
-                    stats.branch_nodes += 1;
-                    walk(left, stats);
-                    walk(right, stats);
-                }
-            }
-        }
-        let mut stats = BmtBatchProofStats::default();
-        walk(&self.root, &mut stats);
-        stats
+    pub fn stats(&self) -> BmtProofStats {
+        BmtProofStats::of(&self.root)
     }
 }
 
-/// Generates the shared multi-address proof for `position_sets` over
-/// `source` in a single descent.
+/// Generates the shared proof for `position_sets` over `source` in a
+/// single descent — the one BMT descent, which [`super::prove`] runs for
+/// a batch of one.
 ///
 /// The descent expands a node as soon as any set matches it and stops at
 /// nodes clean for every set; leaves reached by the expansion become
@@ -268,9 +140,9 @@ impl BmtBatchProof {
 /// Returns [`BmtError::LeafCountNotPowerOfTwo`] if the source span is
 /// not dyadic, and [`BmtError::EmptyTree`] if `position_sets` is empty
 /// (an empty batch has no meaningful proof).
-pub fn prove_multi<S: BmtSource + ?Sized>(
+pub fn prove_multi<S: BmtSource + ?Sized, P: AsRef<[u64]>>(
     source: &S,
-    position_sets: &[Vec<u64>],
+    position_sets: &[P],
 ) -> Result<BmtBatchProof, BmtError> {
     if position_sets.is_empty() {
         return Err(BmtError::EmptyTree);
@@ -281,33 +153,28 @@ pub fn prove_multi<S: BmtSource + ?Sized>(
         return Err(BmtError::LeafCountNotPowerOfTwo { count });
     }
 
-    fn descend<S: BmtSource + ?Sized>(
+    fn descend<S: BmtSource + ?Sized, P: AsRef<[u64]>>(
         source: &S,
         lo: u64,
         hi: u64,
-        position_sets: &[Vec<u64>],
+        position_sets: &[P],
     ) -> BmtBatchNode {
         let filter = source.filter(lo, hi);
         let any_matched = position_sets
             .iter()
-            .any(|positions| !filter.check_positions(positions).is_clean());
+            .any(|positions| !filter.check_positions(positions.as_ref()).is_clean());
+        let mid = lo + (hi - lo) / 2;
         match (any_matched, lo == hi) {
             (_, true) => BmtBatchNode::Leaf { filter },
-            (false, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtBatchNode::CleanNode {
-                    filter,
-                    left_hash: source.node_hash(lo, mid),
-                    right_hash: source.node_hash(mid + 1, hi),
-                }
-            }
-            (true, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtBatchNode::Branch {
-                    left: Box::new(descend(source, lo, mid, position_sets)),
-                    right: Box::new(descend(source, mid + 1, hi, position_sets)),
-                }
-            }
+            (false, false) => BmtBatchNode::CleanNode {
+                filter,
+                left_hash: source.node_hash(lo, mid),
+                right_hash: source.node_hash(mid + 1, hi),
+            },
+            (true, false) => BmtBatchNode::Branch {
+                left: Box::new(descend(source, lo, mid, position_sets)),
+                right: Box::new(descend(source, mid + 1, hi, position_sets)),
+            },
         }
     }
 
@@ -346,11 +213,7 @@ impl Encodable for BmtBatchNode {
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            BmtBatchNode::Leaf { filter } => filter.encoded_len(),
-            BmtBatchNode::CleanNode { filter, .. } => filter.encoded_len() + 64,
-            BmtBatchNode::Branch { left, right } => left.encoded_len() + right.encoded_len(),
-        }
+        BmtProofStats::of(self).encoded_len()
     }
 }
 
@@ -484,7 +347,11 @@ mod tests {
     #[test]
     fn empty_batch_rejected() {
         let tree = tree();
-        assert_eq!(prove_multi(&tree, &[]).unwrap_err(), BmtError::EmptyTree);
+        let no_sets: &[Vec<u64>] = &[];
+        assert_eq!(
+            prove_multi(&tree, no_sets).unwrap_err(),
+            BmtError::EmptyTree
+        );
     }
 
     #[test]
@@ -509,7 +376,9 @@ mod tests {
             }
         }
         let honest = prove_multi(&tree, &position_sets).unwrap();
-        let forged = BmtBatchProof::from_root(forge(honest.root(), &tree, 1, 8));
+        let forged = BmtBatchProof {
+            root: forge(honest.root(), &tree, 1, 8),
+        };
         assert_eq!(
             forged
                 .verify(1, 8, &tree.root_hash(), params(), &position_sets)

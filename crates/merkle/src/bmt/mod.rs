@@ -20,8 +20,10 @@
 //!   demand instead of holding gigabytes in memory;
 //! * [`BmtBuilder`] — the incremental builder a chain uses to commit each
 //!   block's BMT root in O(1) amortised filter merges per block;
-//! * [`BmtProof`] — the merged, pruned-subtree inexistence proof of paper
-//!   Fig. 11, with exact wire encoding and endpoint statistics.
+//! * [`prove_multi`] — the one descent, yielding a [`BmtBatchProof`]
+//!   shared by any number of addresses; [`BmtProof`], the paper's
+//!   merged proof of Fig. 11, is its batch of one in a four-tag wire
+//!   encoding. One walk verifies both.
 //!
 //! # Examples
 //!
@@ -55,7 +57,7 @@ mod proof;
 mod source;
 mod tree;
 
-pub use batch::{prove_multi, BmtBatchNode, BmtBatchProof, BmtBatchProofStats};
+pub use batch::{prove_multi, BmtBatchNode, BmtBatchProof};
 pub use builder::{merge_count, BmtBuilder, LeafCommit, SpanHash};
 pub use proof::{prove, BmtCoverage, BmtProof, BmtProofNode, BmtProofStats};
 pub use source::BmtSource;

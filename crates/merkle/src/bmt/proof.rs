@@ -1,4 +1,9 @@
-//! Merged BMT branch proofs (paper §III-B2, Fig. 4/5/11).
+//! Merged BMT branch proofs (paper §III-B2, Fig. 4/5/11) and the one
+//! verifier of both wire encodings.
+//!
+//! The paper's single-address proof is the batch of one of
+//! [`prove_multi`](super::prove_multi), re-tagged into the four node
+//! kinds of Fig. 11 ([`BmtProof::from_batch_of_one`]).
 
 use std::borrow::Cow;
 
@@ -6,11 +11,14 @@ use lvq_bloom::{BloomFilter, BloomParams};
 use lvq_codec::{Decodable, DecodeError, Encodable, Reader};
 use lvq_crypto::Hash256;
 
-use super::{internal_hash, is_power_of_two, leaf_hash, BmtError, BmtSource};
+use super::{
+    internal_hash, is_power_of_two, leaf_hash, prove_multi, BmtBatchNode, BmtBatchProof, BmtError,
+    BmtSource,
+};
 
 /// Maximum tree depth accepted when decoding untrusted proofs
 /// (2^40 leaves is far beyond any chain length here).
-const MAX_DEPTH: u32 = 40;
+pub(super) const MAX_DEPTH: u32 = 40;
 
 /// One node of a pruned-subtree BMT proof.
 ///
@@ -89,45 +97,235 @@ impl BmtCoverage {
     }
 }
 
-/// Size and shape statistics of a proof (drives paper Figs. 14–16).
+/// Size and shape statistics of a proof, single-address or shared
+/// (drives paper Figs. 14–16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BmtProofStats {
-    /// Clean leaf endpoints.
-    pub clean_leaves: u64,
-    /// Clean internal endpoints.
+    /// Leaf endpoints, clean or failed.
+    pub leaf_endpoints: u64,
+    /// Internal endpoints clean for every queried position set.
     pub clean_nodes: u64,
-    /// Failed leaves (blocks needing block-level proofs).
-    pub failed_leaves: u64,
     /// Expanded internal nodes.
     pub branch_nodes: u64,
     /// Bytes of Bloom filter material in the encoding.
     pub filter_bytes: u64,
-    /// Bytes of sibling/child hashes in the encoding.
+    /// Bytes of child hashes in the encoding.
     pub hash_bytes: u64,
 }
 
 impl BmtProofStats {
     /// Total endpoint nodes — the quantity paper Figs. 15/16 plot.
     pub fn endpoint_count(&self) -> u64 {
-        self.clean_leaves + self.clean_nodes + self.failed_leaves
+        self.leaf_endpoints + self.clean_nodes
     }
 
     /// Accumulates another proof's statistics (for multi-segment
     /// queries).
     pub fn merge(&mut self, other: &BmtProofStats) {
-        self.clean_leaves += other.clean_leaves;
+        self.leaf_endpoints += other.leaf_endpoints;
         self.clean_nodes += other.clean_nodes;
-        self.failed_leaves += other.failed_leaves;
         self.branch_nodes += other.branch_nodes;
         self.filter_bytes += other.filter_bytes;
         self.hash_bytes += other.hash_bytes;
     }
+
+    /// The statistics of the proof tree under `node`.
+    pub(super) fn of<N: ProofNode>(node: &N) -> Self {
+        match node.view() {
+            NodeView::Leaf(filter, _) => BmtProofStats {
+                leaf_endpoints: 1,
+                filter_bytes: filter.encoded_len() as u64,
+                ..Self::default()
+            },
+            NodeView::CleanNode(filter, ..) => BmtProofStats {
+                clean_nodes: 1,
+                filter_bytes: filter.encoded_len() as u64,
+                hash_bytes: 64,
+                ..Self::default()
+            },
+            NodeView::Branch(left, right) => {
+                let mut stats = Self::of(left);
+                stats.merge(&Self::of(right));
+                stats.branch_nodes += 1;
+                stats
+            }
+        }
+    }
+
+    /// The encoded size of the tree these statistics describe: its
+    /// filters and hashes plus one tag byte per node.
+    pub(super) fn encoded_len(&self) -> usize {
+        (self.leaf_endpoints
+            + self.clean_nodes
+            + self.branch_nodes
+            + self.filter_bytes
+            + self.hash_bytes) as usize
+    }
+}
+
+/// A proof node as the verifier reads it. The two wire trees have the
+/// same three shapes and differ only in whether a leaf states its
+/// verdict as a tag.
+pub(super) enum NodeView<'a, N> {
+    /// A leaf endpoint and its single-address tag, `Some(failed)`;
+    /// `None` in the shared encoding, where the verdict is per set.
+    Leaf(&'a BloomFilter, Option<bool>),
+    /// An internal endpoint claimed clean, with its child hashes.
+    CleanNode(&'a BloomFilter, &'a Hash256, &'a Hash256),
+    /// An expanded internal node.
+    Branch(&'a N, &'a N),
+}
+
+/// A wire proof tree, borrowed as [`NodeView`]s.
+pub(super) trait ProofNode: Sized {
+    fn view(&self) -> NodeView<'_, Self>;
+}
+
+impl ProofNode for BmtProofNode {
+    fn view(&self) -> NodeView<'_, Self> {
+        match self {
+            BmtProofNode::CleanLeaf { filter } => NodeView::Leaf(filter, Some(false)),
+            BmtProofNode::FailedLeaf { filter } => NodeView::Leaf(filter, Some(true)),
+            BmtProofNode::CleanNode {
+                filter,
+                left_hash,
+                right_hash,
+            } => NodeView::CleanNode(filter, left_hash, right_hash),
+            BmtProofNode::Branch { left, right } => NodeView::Branch(left, right),
+        }
+    }
+}
+
+/// Verifies the proof under `root` against a committed BMT for every
+/// position set at once — the one walk that recomputes a BMT root.
+///
+/// A node is accepted as clean for a set only if that set's positions
+/// are not all set in its (hash-bound) filter; union cleanliness is not
+/// enough (see [`prove_multi`]). A tagged leaf must carry the verdict
+/// its own filter gives.
+pub(super) fn verify_tree<N: ProofNode, P: AsRef<[u64]>>(
+    root: &N,
+    first_leaf: u64,
+    leaf_count: u64,
+    expected_root: &Hash256,
+    params: BloomParams,
+    position_sets: &[P],
+) -> Result<Vec<BmtCoverage>, BmtError> {
+    if !is_power_of_two(leaf_count) {
+        return Err(BmtError::LeafCountNotPowerOfTwo { count: leaf_count });
+    }
+    let mut coverages = vec![BmtCoverage::default(); position_sets.len()];
+    let (hash, _filter) = verify_node(
+        root,
+        first_leaf,
+        first_leaf + leaf_count - 1,
+        params,
+        position_sets,
+        &mut coverages,
+    )?;
+    if hash != *expected_root {
+        return Err(BmtError::RootMismatch);
+    }
+    Ok(coverages)
+}
+
+fn verify_node<'a, N: ProofNode, P: AsRef<[u64]>>(
+    node: &'a N,
+    lo: u64,
+    hi: u64,
+    params: BloomParams,
+    position_sets: &[P],
+    coverages: &mut [BmtCoverage],
+) -> Result<(Hash256, Cow<'a, BloomFilter>), BmtError> {
+    let view = node.view();
+    // A leaf endpoint sits exactly at leaf level, every other node above.
+    if matches!(view, NodeView::Leaf(..)) != (lo == hi) {
+        return Err(BmtError::MalformedProof {
+            reason: "node kind does not match its tree level",
+        });
+    }
+    if let NodeView::Leaf(filter, _) | NodeView::CleanNode(filter, ..) = view {
+        if filter.params() != params {
+            return Err(BmtError::ParamsMismatch);
+        }
+    }
+    let (hash, filter) = match view {
+        NodeView::Leaf(filter, tagged_failed) => {
+            for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
+                match (
+                    filter.check_positions(positions.as_ref()).is_clean(),
+                    tagged_failed,
+                ) {
+                    (false, Some(false)) => return Err(BmtError::NotClean),
+                    (true, Some(true)) => {
+                        return Err(BmtError::MalformedProof {
+                            reason: "failed leaf over a clean filter",
+                        })
+                    }
+                    (true, _) => coverage.clean_ranges.push((lo, hi)),
+                    (false, _) => coverage.failed_leaves.push(lo),
+                }
+            }
+            (leaf_hash(filter), filter)
+        }
+        NodeView::CleanNode(filter, left_hash, right_hash) => {
+            for (positions, coverage) in position_sets.iter().zip(coverages.iter_mut()) {
+                if !filter.check_positions(positions.as_ref()).is_clean() {
+                    return Err(BmtError::NotClean);
+                }
+                coverage.clean_ranges.push((lo, hi));
+            }
+            (internal_hash(left_hash, right_hash, filter), filter)
+        }
+        NodeView::Branch(left, right) => {
+            let mid = lo + (hi - lo) / 2;
+            let (lh, lf) = verify_node(left, lo, mid, params, position_sets, coverages)?;
+            let (rh, rf) = verify_node(right, mid + 1, hi, params, position_sets, coverages)?;
+            // Paper Eq. 3: the parent filter is the OR of its children.
+            let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
+            return Ok((internal_hash(&lh, &rh, &filter), Cow::Owned(filter)));
+        }
+    };
+    Ok((hash, Cow::Borrowed(filter)))
 }
 
 impl BmtProof {
     /// Wraps a hand-built proof tree (tests and adversarial simulations).
     pub fn from_root(root: BmtProofNode) -> Self {
         BmtProof { root }
+    }
+
+    /// Re-tags the shared proof of a batch of one into the
+    /// single-address encoding, moving every filter: a leaf becomes a
+    /// [`BmtProofNode::CleanLeaf`] if `positions` are clean in its
+    /// filter and a [`BmtProofNode::FailedLeaf`] if not.
+    ///
+    /// `positions` must be the one set `proof` was generated for.
+    pub fn from_batch_of_one(proof: BmtBatchProof, positions: &[u64]) -> Self {
+        fn retag(node: BmtBatchNode, positions: &[u64]) -> BmtProofNode {
+            match node {
+                BmtBatchNode::Leaf { filter } if filter.check_positions(positions).is_clean() => {
+                    BmtProofNode::CleanLeaf { filter }
+                }
+                BmtBatchNode::Leaf { filter } => BmtProofNode::FailedLeaf { filter },
+                BmtBatchNode::CleanNode {
+                    filter,
+                    left_hash,
+                    right_hash,
+                } => BmtProofNode::CleanNode {
+                    filter,
+                    left_hash,
+                    right_hash,
+                },
+                BmtBatchNode::Branch { left, right } => BmtProofNode::Branch {
+                    left: Box::new(retag(*left, positions)),
+                    right: Box::new(retag(*right, positions)),
+                },
+            }
+        }
+        BmtProof {
+            root: retag(proof.root, positions),
+        }
     }
 
     /// The proof's root node.
@@ -149,7 +347,7 @@ impl BmtProof {
     /// # Errors
     ///
     /// Returns a [`BmtError`] if the proof shape, cleanliness claims,
-    /// parameters, or recomputed root hash are wrong.
+    /// leaf tags, parameters, or recomputed root hash are wrong.
     pub fn verify(
         &self,
         first_leaf: u64,
@@ -158,130 +356,27 @@ impl BmtProof {
         params: BloomParams,
         positions: &[u64],
     ) -> Result<BmtCoverage, BmtError> {
-        if !is_power_of_two(leaf_count) {
-            return Err(BmtError::LeafCountNotPowerOfTwo { count: leaf_count });
-        }
-        let mut coverage = BmtCoverage::default();
-        let (hash, _filter) = Self::verify_node(
+        let sets = std::slice::from_ref(&positions);
+        let mut coverages = verify_tree(
             &self.root,
             first_leaf,
-            first_leaf + leaf_count - 1,
+            leaf_count,
+            expected_root,
             params,
-            positions,
-            &mut coverage,
+            sets,
         )?;
-        if hash != *expected_root {
-            return Err(BmtError::RootMismatch);
-        }
-        Ok(coverage)
-    }
-
-    fn verify_node<'a>(
-        node: &'a BmtProofNode,
-        lo: u64,
-        hi: u64,
-        params: BloomParams,
-        positions: &[u64],
-        coverage: &mut BmtCoverage,
-    ) -> Result<(Hash256, Cow<'a, BloomFilter>), BmtError> {
-        match node {
-            BmtProofNode::CleanLeaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "clean leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                if !filter.check_positions(positions).is_clean() {
-                    return Err(BmtError::NotClean);
-                }
-                coverage.clean_ranges.push((lo, hi));
-                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
-            }
-            BmtProofNode::CleanNode {
-                filter,
-                left_hash,
-                right_hash,
-            } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "internal clean node at leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                if !filter.check_positions(positions).is_clean() {
-                    return Err(BmtError::NotClean);
-                }
-                coverage.clean_ranges.push((lo, hi));
-                Ok((
-                    internal_hash(left_hash, right_hash, filter),
-                    Cow::Borrowed(filter),
-                ))
-            }
-            BmtProofNode::FailedLeaf { filter } => {
-                if lo != hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "failed leaf above leaf level",
-                    });
-                }
-                Self::check_filter(filter, params)?;
-                coverage.failed_leaves.push(lo);
-                Ok((leaf_hash(filter), Cow::Borrowed(filter)))
-            }
-            BmtProofNode::Branch { left, right } => {
-                if lo == hi {
-                    return Err(BmtError::MalformedProof {
-                        reason: "branch node at leaf level",
-                    });
-                }
-                let mid = lo + (hi - lo) / 2;
-                let (lh, lf) = Self::verify_node(left, lo, mid, params, positions, coverage)?;
-                let (rh, rf) = Self::verify_node(right, mid + 1, hi, params, positions, coverage)?;
-                // Paper Eq. 3: the parent filter is the OR of its children.
-                let filter = BloomFilter::union(&lf, &rf).map_err(|_| BmtError::ParamsMismatch)?;
-                Ok((internal_hash(&lh, &rh, &filter), Cow::Owned(filter)))
-            }
-        }
-    }
-
-    fn check_filter(filter: &BloomFilter, params: BloomParams) -> Result<(), BmtError> {
-        if filter.params() != params {
-            return Err(BmtError::ParamsMismatch);
-        }
-        Ok(())
+        Ok(coverages.remove(0))
     }
 
     /// Computes the proof's size and shape statistics.
     pub fn stats(&self) -> BmtProofStats {
-        fn walk(node: &BmtProofNode, stats: &mut BmtProofStats) {
-            match node {
-                BmtProofNode::CleanLeaf { filter } => {
-                    stats.clean_leaves += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtProofNode::CleanNode { filter, .. } => {
-                    stats.clean_nodes += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                    stats.hash_bytes += 64;
-                }
-                BmtProofNode::FailedLeaf { filter } => {
-                    stats.failed_leaves += 1;
-                    stats.filter_bytes += filter.encoded_len() as u64;
-                }
-                BmtProofNode::Branch { left, right } => {
-                    stats.branch_nodes += 1;
-                    walk(left, stats);
-                    walk(right, stats);
-                }
-            }
-        }
-        let mut stats = BmtProofStats::default();
-        walk(&self.root, &mut stats);
-        stats
+        BmtProofStats::of(&self.root)
     }
 }
 
-/// Generates the merged inexistence proof for `positions` over `source`.
+/// Generates the merged inexistence proof for `positions` over `source`:
+/// the shared descent of [`prove_multi`] for one set, re-tagged
+/// ([`BmtProof::from_batch_of_one`]).
 ///
 /// This is the full node's descent of paper §III-B2: starting at the
 /// root, a node whose filter check is clean becomes an endpoint; a failed
@@ -297,44 +392,8 @@ impl BmtProof {
 ///
 /// See the [module documentation](crate::bmt).
 pub fn prove<S: BmtSource + ?Sized>(source: &S, positions: &[u64]) -> Result<BmtProof, BmtError> {
-    let (lo, hi) = source.span();
-    let count = hi - lo + 1;
-    if !is_power_of_two(count) {
-        return Err(BmtError::LeafCountNotPowerOfTwo { count });
-    }
-
-    fn descend<S: BmtSource + ?Sized>(
-        source: &S,
-        lo: u64,
-        hi: u64,
-        positions: &[u64],
-    ) -> BmtProofNode {
-        let filter = source.filter(lo, hi);
-        let clean = filter.check_positions(positions).is_clean();
-        match (clean, lo == hi) {
-            (true, true) => BmtProofNode::CleanLeaf { filter },
-            (true, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtProofNode::CleanNode {
-                    filter,
-                    left_hash: source.node_hash(lo, mid),
-                    right_hash: source.node_hash(mid + 1, hi),
-                }
-            }
-            (false, true) => BmtProofNode::FailedLeaf { filter },
-            (false, false) => {
-                let mid = lo + (hi - lo) / 2;
-                BmtProofNode::Branch {
-                    left: Box::new(descend(source, lo, mid, positions)),
-                    right: Box::new(descend(source, mid + 1, hi, positions)),
-                }
-            }
-        }
-    }
-
-    Ok(BmtProof {
-        root: descend(source, lo, hi, positions),
-    })
+    let proof = prove_multi(source, std::slice::from_ref(&positions))?;
+    Ok(BmtProof::from_batch_of_one(proof, positions))
 }
 
 const TAG_CLEAN_LEAF: u8 = 0;
@@ -372,13 +431,7 @@ impl Encodable for BmtProofNode {
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            BmtProofNode::CleanLeaf { filter } | BmtProofNode::FailedLeaf { filter } => {
-                filter.encoded_len()
-            }
-            BmtProofNode::CleanNode { filter, .. } => filter.encoded_len() + 64,
-            BmtProofNode::Branch { left, right } => left.encoded_len() + right.encoded_len(),
-        }
+        BmtProofStats::of(self).encoded_len()
     }
 }
 
@@ -503,7 +556,7 @@ mod tests {
         let stats = proof.stats();
         assert_eq!(
             stats.endpoint_count(),
-            stats.clean_leaves + stats.clean_nodes + stats.failed_leaves
+            stats.leaf_endpoints + stats.clean_nodes
         );
         assert!(stats.endpoint_count() >= 1);
         assert!(stats.filter_bytes > 0);
@@ -597,6 +650,55 @@ mod tests {
             .verify(1, 4, &tree.root_hash(), params(), &positions)
             .unwrap_err();
         assert_eq!(err, BmtError::NotClean);
+    }
+
+    #[test]
+    fn failed_tag_over_a_clean_leaf_rejected() {
+        // The mirror image of the lie above: a leaf whose filter is clean
+        // for the query is tagged failed. Nothing is hidden, but the tag
+        // must agree with the filter, or one answer has two encodings.
+        let tree = fig3_tree();
+        let positions = positions_of(b"b1"); // in leaf 2 only
+        let honest = prove(&tree, &positions).unwrap();
+        fn forge(node: &BmtProofNode) -> BmtProofNode {
+            match node {
+                BmtProofNode::CleanLeaf { filter } => BmtProofNode::FailedLeaf {
+                    filter: filter.clone(),
+                },
+                BmtProofNode::Branch { left, right } => BmtProofNode::Branch {
+                    left: Box::new(forge(left)),
+                    right: Box::new(forge(right)),
+                },
+                other => other.clone(),
+            }
+        }
+        let forged = BmtProof::from_root(forge(honest.root()));
+        assert_ne!(forged, honest, "the honest proof has a clean leaf");
+        let err = forged
+            .verify(1, 4, &tree.root_hash(), params(), &positions)
+            .unwrap_err();
+        assert!(matches!(err, BmtError::MalformedProof { .. }), "{err}");
+    }
+
+    #[test]
+    fn batch_of_one_retags_by_the_leaf_filter() {
+        let tree = fig3_tree();
+        for probe in [&b"c2"[..], b"absent", b"b1", b"a1"] {
+            let positions = positions_of(probe);
+            let sets = std::slice::from_ref(&positions);
+            let batch = prove_multi(&tree, sets).unwrap();
+            let single = BmtProof::from_batch_of_one(batch.clone(), &positions);
+            // Same shape, same filters, same statistics; only the leaf
+            // tags are added, and each agrees with its own filter.
+            assert_eq!(single.stats(), batch.stats());
+            let coverage = single
+                .verify(1, 4, &tree.root_hash(), params(), &positions)
+                .unwrap();
+            let shared = batch
+                .verify(1, 4, &tree.root_hash(), params(), sets)
+                .unwrap();
+            assert_eq!(vec![coverage], shared);
+        }
     }
 
     #[test]

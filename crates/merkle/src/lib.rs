@@ -42,8 +42,7 @@ pub use avl::{
     NodeAddr,
 };
 pub use bmt::{
-    Bmt, BmtBatchProof, BmtBatchProofStats, BmtBuilder, BmtCoverage, BmtError, BmtProof,
-    BmtProofStats, BmtSource,
+    Bmt, BmtBatchProof, BmtBuilder, BmtCoverage, BmtError, BmtProof, BmtProofStats, BmtSource,
 };
 pub use mt::{MerkleBranch, MerkleTree};
 pub use smt::{SmtBranch, SmtError, SmtProof, SmtProofKind, SortedMerkleTree};

@@ -216,6 +216,63 @@ fn hiding_a_failed_leaf_as_clean_rejected() {
     );
 }
 
+// --- (d, cont.) claiming a clean block is a failed one --------------------
+
+#[test]
+fn failed_leaf_over_a_clean_filter_rejected() {
+    // The mirror image of (d): a leaf whose committed filter is clean
+    // for the address is tagged failed and "resolved" with an honest SMT
+    // absence proof. Nothing is hidden, but the response is a second
+    // encoding of the same answer; the tag must agree with the filter.
+    let mut s = scenario(Scheme::Lvq);
+    let segment_len = s.client.config().segment_len();
+
+    /// Re-tags the first clean leaf under `node` (spanning `lo..=hi`)
+    /// as failed, returning its height.
+    fn retag(node: &mut BmtProofNode, lo: u64, hi: u64) -> Option<u64> {
+        match node {
+            BmtProofNode::CleanLeaf { filter } => {
+                let filter = filter.clone();
+                *node = BmtProofNode::FailedLeaf { filter };
+                Some(lo)
+            }
+            BmtProofNode::Branch { left, right } => {
+                let mid = lo + (hi - lo) / 2;
+                retag(left, lo, mid).or_else(|| retag(right, mid + 1, hi))
+            }
+            _ => None,
+        }
+    }
+
+    let segmented = as_segmented(&mut s.response);
+    let mut retagged = None;
+    for (i, bundle) in segmented.segments.iter_mut().enumerate() {
+        let lo = i as u64 * segment_len + 1;
+        let mut root = bundle.proof.root().clone();
+        if let Some(height) = retag(&mut root, lo, lo + segment_len - 1) {
+            bundle.proof = BmtProof::from_root(root);
+            let smt = s.workload.chain.address_smt(height).unwrap();
+            let absence = BlockFragment::AbsenceSmt(smt.prove(s.address.as_bytes()));
+            let at = bundle.fragments.partition_point(|(h, _)| *h < height);
+            bundle.fragments.insert(at, (height, absence));
+            retagged = Some(height);
+            break;
+        }
+    }
+    assert!(retagged.is_some(), "the honest proof has a clean leaf");
+    let err = s.client.verify(&s.address, &s.response).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            QueryError::Bmt {
+                source: lvq::merkle::BmtError::MalformedProof { .. },
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
 // --- (e) dropping a block's fragment -----------------------------------
 
 #[test]
